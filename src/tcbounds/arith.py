@@ -177,7 +177,7 @@ _BLOCK_P_LIMIT = 2_000_000
 _SIMPLE_MIN_DIM = 64
 
 
-def _eliminate_simple(a: np.ndarray, p: int, need_rows: bool) -> tuple[int, list[int]]:
+def _eliminate_simple(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     """Row elimination reducing mod p after every update; any p < 2^31."""
     rows, cols = a.shape
     rank = 0
@@ -206,9 +206,7 @@ def _eliminate_simple(a: np.ndarray, p: int, need_rows: bool) -> tuple[int, list
     return rank, pivots
 
 
-def _eliminate_blocked(
-    a: np.ndarray, p: int, need_rows: bool, block: int = _BLOCK
-) -> tuple[int, list[int]]:
+def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
     """Panel elimination with a blocked trailing update.
 
     Invariant entering each panel: all entries are reduced into [0, p).
@@ -271,13 +269,13 @@ def _eliminate_blocked(
     return rank, pivots
 
 
-def _eliminate(a: np.ndarray, p: int, need_rows: bool) -> tuple[int, list[int]]:
+def _eliminate(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return 0, []
     if p > _BLOCK_P_LIMIT or min(rows, cols) <= _SIMPLE_MIN_DIM:
-        return _eliminate_simple(a, p, need_rows)
-    return _eliminate_blocked(a, p, need_rows)
+        return _eliminate_simple(a, p)
+    return _eliminate_blocked(a, p)
 
 
 def _to_matrix(matrix, p: int) -> np.ndarray:
@@ -295,7 +293,7 @@ def fp_rank(matrix, field: PrimeField | int) -> int:
     """
     fld = _as_field(field)
     a = _to_matrix(matrix, fld.p)
-    rank, _ = _eliminate(a, fld.p, need_rows=False)
+    rank, _ = _eliminate(a, fld.p)
     return rank
 
 
@@ -335,5 +333,5 @@ def fp_echelon(matrix, field: PrimeField | int) -> Echelon:
     """
     fld = _as_field(field)
     a = _to_matrix(matrix, fld.p)
-    rank, pivots = _eliminate(a, fld.p, need_rows=True)
+    rank, pivots = _eliminate(a, fld.p)
     return Echelon(p=fld.p, rank=rank, pivot_columns=tuple(pivots), rows=a[:rank].copy())

@@ -44,14 +44,19 @@ _HYPOTHESES = {
 }
 
 
+def _generic_bounds(dt: DegreeType, m0: int, a_invariant: int | None = None):
+    tight = m0 + dt.d
+    return tight, tight + 1, None if a_invariant is None else tight + 1 + a_invariant
+
+
 def generic_tight_bound(dt: DegreeType) -> int:
     """Degree from which R_m lies in the tight closure: m0 + d."""
-    return smallest_zero(dt) + dt.d
+    return _generic_bounds(dt, smallest_zero(dt))[0]
 
 
 def generic_frobenius_bound(dt: DegreeType) -> int:
     """Degree from which R_m lies in the Frobenius closure: m0 + d + 1."""
-    return smallest_zero(dt) + dt.d + 1
+    return _generic_bounds(dt, smallest_zero(dt))[1]
 
 
 def generic_ideal_bound(dt: DegreeType, a_invariant: int) -> int:
@@ -61,7 +66,7 @@ def generic_ideal_bound(dt: DegreeType, a_invariant: int) -> int:
     its a-invariant. a_invariant = -d-1 recovers m0, the inclusion degree in
     the polynomial ring.
     """
-    return smallest_zero(dt) + dt.d + 1 + a_invariant
+    return _generic_bounds(dt, smallest_zero(dt), a_invariant)[2]
 
 
 def koszul_bound(dt: DegreeType) -> int:
@@ -121,7 +126,7 @@ class BoundReport:
 
 def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
     m0 = smallest_zero(dt)
-    ideal = None if a_invariant is None else generic_ideal_bound(dt, a_invariant)
+    tight, frobenius, ideal = _generic_bounds(dt, m0, a_invariant)
     try:
         improved = semistable_frobenius_improvement(dt)
     except PreconditionError:
@@ -134,8 +139,8 @@ def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
     return BoundReport(
         degree_type=dt,
         m0=m0,
-        tight=generic_tight_bound(dt),
-        frobenius=generic_frobenius_bound(dt),
+        tight=tight,
+        frobenius=frobenius,
         koszul=koszul_bound(dt),
         semistable=semistable_bound(dt),
         ideal=ideal,

@@ -10,6 +10,7 @@ matrices.  No normal-form machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,13 @@ __all__ = [
     "verify_theorem_b",
 ]
 
-# desk-scale cap: never test in a graded piece with more monomials than this
-_MAX_ROWS = 100_000
+# Cap on one membership test's stacked matrix, in cells: (rows of J's
+# product matrix + rows of I's product matrix) x dim P_m.  A test peaks at
+# about 45 bytes per cell (measured at 3.0M and 15.7M cells), so 2^26 cells
+# peak near 3 GiB where 2^27 would near 6 GiB.  The largest test in the
+# suite, README and benchmark (Theorem B on the Fermat cubic, p = 5, q = 25)
+# is 5353 x 2926, 15.7M cells.
+_MAX_CELLS = 2**26
 
 
 class GradedQuotient:
@@ -115,34 +121,56 @@ class MembershipVerdict:
     rank_with: int
 
 
-def _check_system(ring: GradedQuotient, system: FormSystem) -> None:
-    if system.field != ring.field:
-        raise PreconditionError("ideal field does not match ring field")
-    if system.v != ring.v:
-        raise PreconditionError("ideal variable count does not match ring")
+def _stacked_shape(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> tuple[int, int]:
+    # product rows of J and of an ideal of the given degrees, over dim P_m
+    rows = sum(monomial_count(ring.v, m - a) for a in ring.modulus.degrees + degrees if a <= m)
+    return rows, monomial_count(ring.v, m)
 
 
-def _combined_echelon(ring: GradedQuotient, ideal: FormSystem, m: int) -> Echelon:
-    # span of (I + J)_m: the ideal's product rows stacked over the cached
-    # reduced rows of J
-    rows_i = product_row_matrix(ideal, m)
-    rows_j = ring.relation_echelon(m).rows
-    return fp_echelon(np.vstack([rows_j, rows_i]), ring.field)
+class MembershipOracle:
+    """Membership in (I^[q] + J)_m inside P_m, i.e. in I^[q]*R at degree m.
+
+    The stacked matrix (J's cached reduced rows over the product rows of
+    I^[q]) is sized from binomials when the oracle is made and refused over
+    the cap; it is eliminated once, on the first query."""
+
+    def __init__(self, ring: GradedQuotient, ideal: FormSystem, m: int, q: int = 1):
+        if ideal.field != ring.field:
+            raise PreconditionError("ideal field does not match ring field")
+        if ideal.v != ring.v:
+            raise PreconditionError("ideal variable count does not match ring")
+        self.ring, self.ideal, self.degree = ring, frobenius_power_ideal(ideal, q), m
+        rows, cols = _stacked_shape(ring, self.ideal.degrees, m)
+        if rows * cols > _MAX_CELLS:
+            raise PreconditionError(
+                f"membership test in degree {m} needs a {rows} x {cols} matrix "
+                f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
+            )
+
+    @cached_property
+    def echelon(self) -> Echelon:
+        rows_i = product_row_matrix(self.ideal, self.degree)
+        rows_j = self.ring.relation_echelon(self.degree).rows
+        return fp_echelon(np.vstack([rows_j, rows_i]), self.ring.field)
+
+    def verdicts(self, elements) -> list[MembershipVerdict]:
+        """One verdict per element, each a degree-m Form or Monomial."""
+        ech = self.echelon
+        out = []
+        for g in elements:
+            if isinstance(g, Monomial):
+                g = Form(v=g.v, degree=g.degree, terms=((g.exponents, 1),))
+            if g.v != self.ring.v:
+                raise PreconditionError("form variable count does not match ring")
+            contained = ech.contains(form_vector(g, ech.p))
+            rank_with = ech.rank if contained else ech.rank + 1
+            out.append(MembershipVerdict(contained, self.degree, ech.rank, rank_with))
+        return out
 
 
 def ideal_membership(ring: GradedQuotient, ideal: FormSystem, f: Form) -> MembershipVerdict:
     """Is f in I*R?  Tested in degree deg f: f in (I + J)_{deg f} in P."""
-    _check_system(ring, ideal)
-    if f.v != ring.v:
-        raise PreconditionError("form variable count does not match ring")
-    ech = _combined_echelon(ring, ideal, f.degree)
-    contained = ech.contains(form_vector(f, ring.field.p))
-    return MembershipVerdict(
-        contained=contained,
-        degree=f.degree,
-        rank_without=ech.rank,
-        rank_with=ech.rank + (0 if contained else 1),
-    )
+    return MembershipOracle(ring, ideal, f.degree).verdicts([f])[0]
 
 
 def _check_prime_power(q: int, p: int) -> None:
@@ -179,9 +207,7 @@ def frobenius_membership(
     """Is f^q in I^[q]*R?  True for some q = p^e iff f lies in the
     Frobenius closure of I*R."""
     _check_prime_power(q, ring.field.p)
-    return ideal_membership(
-        ring, frobenius_power_ideal(ideal, q), _frobenius_power_form(f, q)
-    )
+    return ideal_membership(ring, frobenius_power_ideal(ideal, q), _frobenius_power_form(f, q))
 
 
 @dataclass(frozen=True)
@@ -217,14 +243,19 @@ class WitnessScanReport:
         return bool(self.passing)
 
 
-def _default_q_list(p: int, base_degree: int, v: int) -> tuple[int, ...]:
+def _q_powers(
+    ring: GradedQuotient, ideal: FormSystem, q_max: int, base: int, shift: int
+) -> tuple[int, ...]:
+    """q = p, p^2, ... up to q_max, stopping at the first q whose test in
+    (I^[q] + J) at degree q * base + shift would exceed the size cap."""
     qs = []
-    q = p
-    while q <= p**4 and monomial_count(v, q * base_degree + 2) <= _MAX_ROWS:
+    q = ring.field.p
+    while q <= q_max:
+        rows, cols = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base + shift)
+        if rows * cols > _MAX_CELLS:
+            break
         qs.append(q)
-        q *= p
-    if not qs:
-        raise PreconditionError("no usable q below the size cap; pass q_list")
+        q *= ring.field.p
     return tuple(qs)
 
 
@@ -248,13 +279,9 @@ def tight_witness_scan(
     """Scan candidate witnesses u: u passes q iff u * f^q lies in
     (I^[q] + J) at degree deg u + q deg f.  A u passing every listed q is
     recorded in `passing` (tight-closure evidence for f)."""
-    _check_system(ring, ideal)
     if f.v != ring.v:
         raise PreconditionError("form variable count does not match ring")
     p = ring.field.p
-    if q_list is None:
-        q_list = _default_q_list(p, f.degree, ring.v)
-    q_list = tuple(q_list)
     if witnesses is None:
         witnesses = _default_witnesses(ring.v)
     witnesses = tuple(witnesses)
@@ -263,33 +290,21 @@ def tight_witness_scan(
             raise PreconditionError("witness must be nonzero")
         if u.v != ring.v:
             raise PreconditionError("witness variable count does not match ring")
+    if q_list is None:
+        top = max((u.degree for u in witnesses), default=0)
+        q_list = _q_powers(ring, ideal, p**4, f.degree, top)
+        if not q_list:
+            raise PreconditionError("no usable q below the size cap; pass q_list")
+    q_list = tuple(q_list)
 
-    echelons: dict[tuple[int, int], Echelon] = {}
-    powered = {q: (frobenius_power_ideal(ideal, q), _frobenius_power_form(f, q)) for q in q_list}
-    rows: list[tuple[MembershipVerdict, ...]] = []
-    passing = []
-    for i, u in enumerate(witnesses):
-        row = []
-        for q in q_list:
-            ideal_q, f_q = powered[q]
-            prod = form_product(u, f_q, p)
-            key = (q, prod.degree)
-            ech = echelons.get(key)
-            if ech is None:
-                ech = _combined_echelon(ring, ideal_q, prod.degree)
-                echelons[key] = ech
-            contained = ech.contains(form_vector(prod, p))
-            row.append(
-                MembershipVerdict(
-                    contained=contained,
-                    degree=prod.degree,
-                    rank_without=ech.rank,
-                    rank_with=ech.rank + (0 if contained else 1),
-                )
-            )
-        rows.append(tuple(row))
-        if all(verdict.contained for verdict in row):
-            passing.append(i)
+    # every test is sized before any is run
+    tests = sorted({(q, u.degree + q * f.degree) for q in q_list for u in witnesses})
+    oracles = {(q, m): MembershipOracle(ring, ideal, m, q) for q, m in tests}
+    rows = []
+    for u in witnesses:
+        prods = [form_product(u, _frobenius_power_form(f, q), p) for q in q_list]
+        rows.append(tuple(oracles[q, g.degree].verdicts([g])[0] for q, g in zip(q_list, prods)))
+    passing = [i for i, row in enumerate(rows) if all(verdict.contained for verdict in row)]
 
     first = witnesses[passing[0]] if passing else None
     query = FrobeniusQuery(f=f, ideal=ideal, q_list=q_list, witness=first)
@@ -345,10 +360,6 @@ def verify_theorem_c(
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
-    basis = ring_basis(ring, bound)
-    dim_p = monomial_count(ring.v, bound)
-    index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(ring.v, bound))}
-
     rng = SplitMix64(seed)
     draws = 0
     system = None
@@ -357,13 +368,12 @@ def verify_theorem_c(
     while draws < max_redraws and not passed:
         draws += 1
         system = random_form_system(ring.v, dt.degrees, ring.field, rng)
-        ech = _combined_echelon(ring, system, bound)
-        current = []
-        for mono in basis:
-            vec = np.zeros(dim_p, dtype=np.int64)
-            vec[index[mono.exponents]] = 1
-            current.append((mono.exponents, ech.contains(vec)))
-        verdicts = tuple(current)
+        oracle = MembershipOracle(ring, system, bound)
+        basis = ring_basis(ring, bound)
+        verdicts = tuple(
+            (mono.exponents, verdict.contained)
+            for mono, verdict in zip(basis, oracle.verdicts(basis))
+        )
         passed = all(ok for _, ok in verdicts)
     return TheoremCReport(
         degree_type=dt,
@@ -419,50 +429,33 @@ def verify_theorem_b(
         raise PreconditionError(f"q_max must be >= 1, got {q_max}")
     if ideal is None:
         ideal = random_form_system(ring.v, dt.degrees, ring.field, SplitMix64(seed))
-    else:
-        _check_system(ring, ideal)
-        if tuple(sorted(ideal.degrees, reverse=True)) != dt.degrees:
-            raise PreconditionError(
-                f"ideal degrees {ideal.degrees} do not match degree type {dt.degrees}"
-            )
+    elif tuple(sorted(ideal.degrees, reverse=True)) != dt.degrees:
+        raise PreconditionError(
+            f"ideal degrees {ideal.degrees} do not match degree type {dt.degrees}"
+        )
     bound = generic_frobenius_bound(dt)
 
-    q_list = [1]
-    q = p
-    while q <= q_max and monomial_count(ring.v, q * bound) <= _MAX_ROWS:
-        q_list.append(q)
-        q *= p
+    q_list = (1,) + _q_powers(ring, ideal, q_max, bound, 0)
+    # every test is sized before any is run
+    oracles = [MembershipOracle(ring, ideal, q * bound, q) for q in q_list]
 
     basis = ring_basis(ring, bound)
-    resolved: dict[int, int | None] = {i: None for i in range(len(basis))}
-    for q in q_list:
-        open_indices = [i for i, r in resolved.items() if r is None]
+    resolved: list[int | None] = [None] * len(basis)
+    for q, oracle in zip(q_list, oracles):
+        open_indices = [i for i, r in enumerate(resolved) if r is None]
         if not open_indices:
             break
-        ideal_q = frobenius_power_ideal(ideal, q)
-        degree_q = q * bound
-        ech = _combined_echelon(ring, ideal_q, degree_q)
-        dim_p = monomial_count(ring.v, degree_q)
-        index = {
-            mono.exponents: i
-            for i, mono in enumerate(monomials_of_degree(ring.v, degree_q))
-        }
-        for i in open_indices:
-            scaled = tuple(e * q for e in basis[i].exponents)
-            vec = np.zeros(dim_p, dtype=np.int64)
-            vec[index[scaled]] = 1
-            if ech.contains(vec):
+        found = oracle.verdicts([basis[i] ** q for i in open_indices])
+        for i, verdict in zip(open_indices, found):
+            if verdict.contained:
                 resolved[i] = q
-
-    elements = tuple(
-        (basis[i].exponents, resolved[i]) for i in range(len(basis))
-    )
+    elements = tuple((b.exponents, r) for b, r in zip(basis, resolved))
     return TheoremBReport(
         degree_type=dt,
         p=p,
         bound=bound,
         q_max=q_max,
-        q_list=tuple(q_list),
+        q_list=q_list,
         seed=seed,
         ideal=ideal,
         elements=elements,

@@ -201,8 +201,8 @@ class TestFpRank:
         p = 32003
         for r, c, k in ((150, 190, 80), (200, 150, 150), (130, 130, 129)):
             a = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
-            r1, piv1 = _eliminate_simple(a.astype(np.int64).copy(), p, False)
-            r2, piv2 = _eliminate_blocked(a.astype(np.int64).copy(), p, False)
+            r1, piv1 = _eliminate_simple(a.astype(np.int64).copy(), p)
+            r2, piv2 = _eliminate_blocked(a.astype(np.int64).copy(), p)
             assert (r1, piv1) == (r2, piv2)
             assert r1 <= k
 
@@ -214,7 +214,7 @@ class TestFpRank:
             c = int(rng.integers(5, 40))
             k = int(rng.integers(1, min(r, c) + 1))
             a = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
-            got, _ = _eliminate_blocked(a.astype(np.int64).copy(), p, False, block=8)
+            got, _ = _eliminate_blocked(a.astype(np.int64).copy(), p, block=8)
             assert got == rank_oracle(a.tolist(), p)
 
     def test_big_prime_path(self):
@@ -290,7 +290,7 @@ class TestFpEchelon:
         a = (rng.integers(0, p, (160, 90)) @ rng.integers(0, p, (90, 170))) % p
         b1 = a.astype(np.int64).copy()
         b2 = a.astype(np.int64).copy()
-        r1, piv1 = _eliminate_simple(b1, p, True)
-        r2, piv2 = _eliminate_blocked(b2, p, True)
+        r1, piv1 = _eliminate_simple(b1, p)
+        r2, piv2 = _eliminate_blocked(b2, p)
         assert (r1, piv1) == (r2, piv2)
         assert np.array_equal(b1[:r1] % p, b2[:r2] % p)

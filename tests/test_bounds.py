@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from tcbounds import bounds
 from tcbounds.arith import PreconditionError, SplitMix64
 from tcbounds.bounds import (
     a_invariant_complete_intersection,
@@ -136,6 +137,21 @@ class TestBoundReport:
         assert rep.ideal is None and rep.a_invariant is None
         assert rep.semistable_frobenius is None
         assert rep.koszul >= rep.tight
+
+    @pytest.mark.parametrize("a_invariant", [None, 0])
+    def test_one_zero_search_per_report(self, monkeypatch, a_invariant):
+        calls = []
+
+        def counting(dt):
+            calls.append(dt)
+            return smallest_zero(dt)
+
+        monkeypatch.setattr(bounds, "smallest_zero", counting)
+        dt = DegreeType.constant(1, 3, 5)
+        rep = bound_report(dt, a_invariant=a_invariant)
+        assert len(calls) == 1
+        assert (rep.m0, rep.tight, rep.frobenius) == (7, 8, 9)
+        assert rep.ideal == (None if a_invariant is None else 9)
 
 
 class TestBuildTable:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tcbounds import cli
+from tcbounds import cli, quotient
 
 
 @pytest.fixture
@@ -335,6 +335,18 @@ class TestVerifyTheorems:
         assert code == 0
         assert payload["result"]["all_resolved"] is True
         assert payload["params"]["ideal_file"] == str(path)
+
+    def test_oversized_test_refused(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(quotient, "product_row_matrix", refuse)
+        code, out, err = run_cli(
+            capsys, "verify", "theorem-c", "--fixture", "fermat-cubic",
+            "--n", "3", "--a", "200",
+        )
+        assert code == 1 and out == ""
+        assert "membership test in degree 301 needs a 60609 x 45753 matrix" in err
 
     def test_theorem_b_random_type(self, capsys):
         code, payload = run_json(

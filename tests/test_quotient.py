@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from tcbounds.arith import PreconditionError, PrimeField, SplitMix64
+from tcbounds import quotient
+from tcbounds.arith import PreconditionError, PrimeField, SplitMix64, fp_rank
 from tcbounds.froeberg import DegreeType
 from tcbounds.fixtures import (
     DEFAULT_PRIME,
@@ -13,6 +15,8 @@ from tcbounds.macaulay import (
     FormSystem,
     first_inclusion_degree,
     form_product,
+    form_vector,
+    product_row_matrix,
     random_form,
     random_form_system,
 )
@@ -405,6 +409,8 @@ class TestTheoremB:
         report = verify_theorem_b(ring, DegreeType(1, (1, 1)), seed=7, ideal=I)
         assert report.all_resolved
         assert report.q_list[0] == 1
+        # q = 125 would stack 133003 x 70876 cells, over the size cap
+        assert report.q_list == (1, 5, 25)
 
     def test_random_draw_deterministic(self, cubic7):
         dt = DegreeType(1, (2, 2))
@@ -412,6 +418,8 @@ class TestTheoremB:
         b = verify_theorem_b(cubic7.ring, dt, q_max=49, seed=11)
         assert a == b
         assert a.ideal.degrees == (2, 2)
+        # q = 49 would stack 51698 x 30381 cells, over the size cap
+        assert a.q_list == (1, 7)
 
     def test_explicit_ideal_must_match_degree_type(self, cubic2):
         I = variables_ideal(cubic2.ring, 2)
@@ -421,3 +429,121 @@ class TestTheoremB:
     def test_q_max_validation(self, cubic2):
         with pytest.raises(PreconditionError):
             verify_theorem_b(cubic2.ring, DegreeType(1, (1, 1)), q_max=0)
+
+
+def _direct_ranks(ring, ideal, vector, m):
+    # ranks from J's product rows (not the cached echelon) stacked with I's
+    # product rows, without and with the tested vector appended
+    p = ring.field.p
+    base = np.vstack([product_row_matrix(ring.modulus, m), product_row_matrix(ideal, m)])
+    return fp_rank(base, p), fp_rank(np.vstack([base, vector[None, :]]), p)
+
+
+def _frobenius_power(f, q):
+    return Form.make(f.v, f.degree * q, {tuple(e * q for e in exps): c for exps, c in f.terms})
+
+
+def _assert_true_ranks(ring, ideal, form, verdict):
+    m = form.degree
+    without, with_ = _direct_ranks(ring, ideal, form_vector(form, ring.field.p), m)
+    assert verdict.degree == m
+    assert (verdict.rank_without, verdict.rank_with) == (without, with_)
+    assert verdict.contained == (without == with_)
+
+
+_DIFFERENTIAL_RINGS = (
+    ("fermat-cubic", 5, None),
+    ("fermat-cubic", 7, None),
+    ("fermat-cubic-p2", None, None),
+    ("poly-ring", 3, 2),
+)
+
+
+class TestAgainstDirectRanks:
+    """Every reported rank is a true rank of (I + J)_m, computed afresh."""
+
+    @pytest.mark.parametrize("name,p,d", _DIFFERENTIAL_RINGS)
+    def test_ideal_membership(self, name, p, d):
+        ring = make_fixture(name, p=p, d=d).ring
+        rng = SplitMix64(21)
+        ideals = (
+            variables_ideal(ring, 2),
+            random_form_system(ring.v, (2, 2), ring.field, rng),
+        )
+        forms = [monomial_form(ring.v, (0,) * (ring.v - 1) + (2,))]
+        forms += [random_form(ring.v, m, ring.field, rng) for m in (2, 3, 4)]
+        for ideal in ideals:
+            for f in forms:
+                _assert_true_ranks(ring, ideal, f, ideal_membership(ring, ideal, f))
+
+    @pytest.mark.parametrize("name,p,d", _DIFFERENTIAL_RINGS)
+    def test_witness_scan(self, name, p, d):
+        ring = make_fixture(name, p=p, d=d).ring
+        prime = ring.field.p
+        ideal = variables_ideal(ring, 2)
+        f = monomial_form(ring.v, (0,) * (ring.v - 1) + (2,))
+        witnesses = (
+            monomial_form(ring.v, (0,) * ring.v),
+            monomial_form(ring.v, (0,) * (ring.v - 1) + (1,)),
+            monomial_form(ring.v, (1,) + (0,) * (ring.v - 2) + (1,)),
+        )
+        q_list = (1, prime) if prime > 2 else (1, 2, 4)
+        report = tight_witness_scan(ring, ideal, f, witnesses=witnesses, q_list=q_list)
+        for u, row in zip(witnesses, report.verdicts):
+            for q, verdict in zip(q_list, row):
+                product = form_product(u, _frobenius_power(f, q), prime)
+                _assert_true_ranks(ring, frobenius_power_ideal(ideal, q), product, verdict)
+
+    # on the quartic (a-invariant 1) z^3 needs q = 5, so the q > 1 path runs
+    @pytest.mark.parametrize("name,p,d", _DIFFERENTIAL_RINGS + (("fermat-quartic", 5, None),))
+    def test_theorem_b(self, name, p, d):
+        ring = make_fixture(name, p=p, d=d).ring
+        k = ring.krull_dimension
+        report = verify_theorem_b(
+            ring, DegreeType(k - 1, (1,) * k), q_max=ring.field.p, ideal=variables_ideal(ring, k)
+        )
+        for exps, resolved in report.elements:
+            assert resolved is not None
+            # resolved is the first q whose rank test passes
+            for q in report.q_list[: report.q_list.index(resolved) + 1]:
+                scaled = tuple(e * q for e in exps)
+                power = Form.make(ring.v, sum(scaled), {scaled: 1})
+                ideal_q = frobenius_power_ideal(report.ideal, q)
+                vector = form_vector(power, ring.field.p)
+                without, with_ = _direct_ranks(ring, ideal_q, vector, power.degree)
+                assert (without == with_) == (q == resolved)
+        if name == "fermat-quartic":
+            assert dict(report.elements)[(0, 0, 3)] == 5
+
+
+class TestSizeCap:
+    """Every membership test is sized from binomials and refused over the
+    cap before any matrix is built."""
+
+    @pytest.fixture
+    def no_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(quotient, "product_row_matrix", refuse)
+        monkeypatch.setattr(quotient, "fp_echelon", refuse)
+
+    def test_default_q_list_for_the_scan(self, cubic5, no_matrices):
+        # z^2 against (x, y) with witnesses up to degree 2: at q = 125 the
+        # degree-252 test would stack 31375 + 2 * 8256 rows over 32131 columns
+        ideal = variables_ideal(cubic5.ring, 2)
+        assert quotient._q_powers(cubic5.ring, ideal, 5**4, 2, 2) == (5, 25)
+
+    def test_scan_refused_before_allocating(self, cubic5, no_matrices):
+        # the first test at q = 125 is in degree 250: 30876 + 2 * 8001 rows
+        # over C(252, 2) = 31626 columns
+        ring = cubic5.ring
+        with pytest.raises(PreconditionError, match=r"degree 250 needs a 46878 x 31626 matrix"):
+            tight_witness_scan(
+                ring, variables_ideal(ring, 2), monomial_form(3, (0, 0, 2)), q_list=(125,)
+            )
+
+    def test_membership_refused_before_allocating(self, cubic5, no_matrices):
+        f = random_form(3, 5, cubic5.ring.field, SplitMix64(3))
+        with pytest.raises(PreconditionError, match=r"17928 x 8001 matrix"):
+            frobenius_membership(cubic5.ring, variables_ideal(cubic5.ring, 2), f, 25)
