@@ -2,7 +2,13 @@
 
 Integers are Python ints throughout (arbitrary precision, never wrapped).
 Matrix ranks over a prime field use hand-written Gaussian elimination on
-int64 numpy arrays; see fp_rank for the exactness argument.
+int64 numpy arrays.  For p up to _BLOCK_P_LIMIT the blocked kernel delays
+modular reduction: it reduces an entry only where it reads it, and between
+reads an entry accumulates at most (p-1)^2 per pivot.  That is exact while
+block * (p-1)^2 < 2^53 (float64 matmuls) and
+p + min(rows, cols) * (p-1)^2 < 2^63 (int64 entries), which the kernel
+checks before it starts (see _eliminate_blocked).  Larger p use a path
+that reduces after every step.
 """
 
 from __future__ import annotations
@@ -168,11 +174,13 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-# Blocked elimination keeps every intermediate below _BLOCK * p^2, which must
-# stay under 2^53 for the float64 matmul update to be exact and under 2^63
-# for the int64 panel arithmetic. p above the limit falls back to the
-# per-step-reduced path.
+# _eliminate_blocked works on panels of _BLOCK columns, sub-panels of
+# _SUB_BLOCK columns, and updates the rows below a panel _CHUNK_ROWS at a
+# time.  p above _BLOCK_P_LIMIT, and any matrix with a side of at most
+# _SIMPLE_MIN_DIM, take the per-step-reduced path instead.
 _BLOCK = 64
+_SUB_BLOCK = 16
+_CHUNK_ROWS = 256
 _BLOCK_P_LIMIT = 2_000_000
 _SIMPLE_MIN_DIM = 64
 
@@ -206,65 +214,138 @@ def _eliminate_simple(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     return rank, pivots
 
 
-def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
-    """Panel elimination with a blocked trailing update.
+def _check_exact(p: int, block: int, rows: int, cols: int) -> None:
+    if block * (p - 1) ** 2 >= 2**53:
+        raise PreconditionError(
+            f"float64 matmul over {block} terms is not exact mod {p}: "
+            f"{block} * (p-1)^2 >= 2^53"
+        )
+    n = min(rows, cols)
+    if p + n * (p - 1) ** 2 >= 2**63:
+        raise PreconditionError(
+            f"int64 accumulation over {n} pivots is not exact mod {p}: "
+            f"p + {n} * (p-1)^2 >= 2^63"
+        )
 
-    Invariant entering each panel: all entries are reduced into [0, p).
-    Within a panel only the panel columns are updated (entries grow up to
-    block * p^2 < 2^63); the trailing block is updated once per panel by an
-    exact float64 matmul (all integers < block * p^2 < 2^53) and re-reduced.
-    Pivot choice is the first nonzero entry, so the result is deterministic.
+
+def _panel_ops(mult: np.ndarray, scales: list[int], p: int) -> np.ndarray:
+    """The t x t matrix T of a panel's row operations on its t pivot rows.
+
+    Pivot row j had rows i < j subtracted from it, mult[i, j] times each,
+    and was then scaled by scales[j].  The same steps on the identity give
+    T, so that the final pivot rows are T @ (the rows on entry) mod p.  An
+    entry of T accumulates at most t * (p-1)^2 before its row is reduced.
+    """
+    t = len(scales)
+    ops = np.eye(t, dtype=np.int64)
+    for j in range(t):
+        ops[j, : j + 1] = ops[j, : j + 1] % p * scales[j] % p
+        ops[j + 1 :, : j + 1] -= mult[j, j + 1 :, None] * ops[j, : j + 1]
+    return ops
+
+
+def _apply_pivots(
+    top: np.ndarray, below: np.ndarray, ops: np.ndarray, mult: np.ndarray, p: int
+) -> None:
+    """Carry t pivots into columns that their elimination did not touch.
+
+    top (t rows: the pivot rows in those columns) becomes ops @ top mod p,
+    its final value; then below -= mult @ top, where mult (rows of below x
+    t) holds the reduced multipliers.  Both are float64 matmuls of operands
+    in [0, p) over t <= block terms, so exact.  below is updated in chunks
+    of rows, so no float64 temporary of its full size is made.
+    """
+    top[...] = (ops.astype(np.float64) @ (top % p).astype(np.float64)).astype(np.int64) % p
+    top_f = top.astype(np.float64)
+    mult_f = mult.astype(np.float64)
+    for s in range(0, below.shape[0], _CHUNK_ROWS):
+        part = below[s : s + _CHUNK_ROWS]
+        np.subtract(
+            part, mult_f[s : s + _CHUNK_ROWS] @ top_f, out=part, dtype=np.int64, casting="unsafe"
+        )
+
+
+def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
+    """Panel elimination with delayed reduction and blocked updates.
+
+    Each panel of `block` columns (below the pivot rows found so far) is
+    copied out transposed, so that its columns are contiguous.  It is
+    eliminated a sub-panel of _SUB_BLOCK columns at a time: rank-one
+    updates inside the sub-panel, then one _apply_pivots to the rest of
+    the panel.  Multipliers stay in the copy below their pivots, as in LU,
+    and are zeroed when the copy is written back.  One _apply_pivots then
+    makes the pivot rows' trailing parts final and clears the trailing
+    block below them.
+
+    Reduction mod p is delayed: an entry is reduced only where it is read,
+    that is a column before its pivot search, a pivot row before it is
+    scaled, and both operands of every float64 matmul.  Every other entry
+    only accumulates: it starts in [0, p) and takes at most one
+    contribution in [0, (p-1)^2] per pivot, subtracted.  This is exact
+    while block * (p-1)^2 < 2^53 (float64 matmuls over at most `block`
+    terms) and p + min(rows, cols) * (p-1)^2 < 2^63 (int64 entries); both
+    are checked before `a` is touched.  The pivot is the first nonzero
+    entry of its column, so ranks, pivot columns and the pivot rows, all
+    reduced into [0, p), are those of _eliminate_simple.
     """
     rows, cols = a.shape
+    _check_exact(p, block, rows, cols)
     rank = 0
     pivots: list[int] = []
     for panel_start in range(0, cols, block):
         if rank == rows:
             break
         panel_end = min(panel_start + block, cols)
-        mult = np.zeros((rows - rank, panel_end - panel_start), dtype=np.int64)
+        width = panel_end - panel_start
+        pan = np.ascontiguousarray(a[rank:, panel_start:panel_end].T)
+        local: list[int] = []  # pivot columns within the panel
         scales: list[int] = []
         t = 0
-        for col in range(panel_start, panel_end):
-            if rank + t == rows:
-                break
-            colv = a[rank + t :, col] % p
-            a[rank + t :, col] = colv
-            nz = np.nonzero(colv)[0]
-            if nz.size == 0:
-                continue
-            i0 = int(nz[0])
-            if i0 != 0:
-                r0, r1 = rank + t, rank + t + i0
-                a[[r0, r1]] = a[[r1, r0]]
-                mult[[t, t + i0]] = mult[[t + i0, t]]
-            inv = pow(int(a[rank + t, col]), p - 2, p)
-            a[rank + t, col:panel_end] = (a[rank + t, col:panel_end] % p) * inv % p
-            below = a[rank + t + 1 :, col]
-            mult[t + 1 :, t] = below
-            if below.size and col + 1 < panel_end:
-                a[rank + t + 1 :, col + 1 : panel_end] -= (
-                    below[:, None] * a[rank + t, col + 1 : panel_end][None, :]
+        for sub_start in range(0, width, _SUB_BLOCK):
+            sub_end = min(sub_start + _SUB_BLOCK, width)
+            t0 = t
+            for c in range(sub_start, sub_end):
+                if rank + t == rows:
+                    break
+                colv = pan[c, t:] % p
+                pan[c, t:] = colv
+                nz = np.flatnonzero(colv)
+                if nz.size == 0:
+                    continue
+                i0 = t + int(nz[0])
+                if i0 != t:
+                    # both rows are zero left of the panel
+                    pan[:, [t, i0]] = pan[:, [i0, t]]
+                    a[[rank + t, rank + i0], panel_end:] = a[[rank + i0, rank + t], panel_end:]
+                inv = pow(int(pan[c, t]), p - 2, p)
+                pan[c:sub_end, t] = pan[c:sub_end, t] % p * inv % p
+                rest = pan[c + 1 : sub_end]
+                rest[:, t + 1 :] -= rest[:, t, None] * pan[c, None, t + 1 :]
+                local.append(c)
+                scales.append(inv)
+                pivots.append(panel_start + c)
+                t += 1
+            if t > t0 and sub_end < width:
+                mult = pan[local[t0:], t0:]
+                _apply_pivots(
+                    pan[sub_end:, t0:t].T,
+                    pan[sub_end:, t:].T,
+                    _panel_ops(mult[:, : t - t0], scales[t0:], p),
+                    mult[:, t - t0 :].T,
+                    p,
                 )
-            a[rank + t + 1 :, col] = 0
-            scales.append(inv)
-            pivots.append(col)
-            t += 1
+        mult = pan[local]
+        for j, c in enumerate(local):
+            pan[c, j + 1 :] = 0
+        a[rank:, panel_start:panel_end] = pan.T
         if t and panel_end < cols:
-            # replay the panel's row operations on the pivot rows' trailing
-            # parts, then clear everything below them with one matmul
-            trail = a[rank : rank + t, panel_end:]
-            for j in range(t):
-                # row j is reduced here and never touched again; later rows
-                # accumulate at most block * p^2 < 2^63 before their turn
-                trail[j] = (trail[j] % p) * scales[j] % p
-                if j + 1 < t:
-                    trail[j + 1 :] -= mult[j + 1 : t, j][:, None] * trail[j][None, :]
-            if rank + t < rows:
-                lower = mult[t:, :t]
-                prod = lower.astype(np.float64) @ trail.astype(np.float64)
-                a[rank + t :, panel_end:] -= prod.astype(np.int64)
-                a[rank + t :, panel_end:] %= p
+            _apply_pivots(
+                a[rank : rank + t, panel_end:],
+                a[rank + t :, panel_end:],
+                _panel_ops(mult[:, :t], scales, p),
+                mult[:, t:].T,
+                p,
+            )
         rank += t
     return rank, pivots
 

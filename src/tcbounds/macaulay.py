@@ -108,12 +108,16 @@ def _pack_bits(v: int, m: int) -> int | None:
     return None
 
 
+def _pack(exps, v: int, bits: int) -> np.ndarray:
+    # code sum_i e_i << (bits * i) of each exponent row, as one integer dot
+    # product with the bit weights
+    weights = np.left_shift(1, bits * np.arange(v, dtype=np.int64))
+    return np.array(exps, dtype=np.int64).reshape(-1, v) @ weights
+
+
 @lru_cache(maxsize=None)
 def _codes(v: int, m: int, bits: int) -> np.ndarray:
-    exps = _exponent_tuples(v, m)
-    return np.array(
-        [sum(e << (bits * i) for i, e in enumerate(t)) for t in exps], dtype=np.int64
-    )
+    return _pack(_exponent_tuples(v, m), v, bits)
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +268,7 @@ def _fill_product_columns(
     if bits is not None:
         target = _codes(v, m, bits)
         shifts = _codes(v, shift_deg, bits)
-        term_codes = np.array(
-            [sum(e << (bits * i) for i, e in enumerate(exps)) for exps, _ in form.terms],
-            dtype=np.int64,
-        )
+        term_codes = _pack([exps for exps, _ in form.terms], v, bits)
         coeffs = np.array([c for _, c in form.terms], dtype=np.int64)
         prod = shifts[:, None] + term_codes[None, :]
         rows = np.searchsorted(target, prod)

@@ -89,6 +89,7 @@ class GradedQuotient:
             raise PreconditionError(f"degree must be >= 0, got {m}")
         cached = self._relation_echelons.get(m)
         if cached is None:
+            _check_cells(f"relation echelon in degree {m}", *_stacked_shape(self, (), m))
             cached = fp_echelon(product_row_matrix(self.modulus, m), self.field)
             self._relation_echelons[m] = cached
         return cached
@@ -127,6 +128,14 @@ def _stacked_shape(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> tu
     return rows, monomial_count(ring.v, m)
 
 
+def _check_cells(what: str, rows: int, cols: int) -> None:
+    if rows * cols > _MAX_CELLS:
+        raise PreconditionError(
+            f"{what} needs a {rows} x {cols} matrix "
+            f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
+        )
+
+
 class MembershipOracle:
     """Membership in (I^[q] + J)_m inside P_m, i.e. in I^[q]*R at degree m.
 
@@ -140,12 +149,8 @@ class MembershipOracle:
         if ideal.v != ring.v:
             raise PreconditionError("ideal variable count does not match ring")
         self.ring, self.ideal, self.degree = ring, frobenius_power_ideal(ideal, q), m
-        rows, cols = _stacked_shape(ring, self.ideal.degrees, m)
-        if rows * cols > _MAX_CELLS:
-            raise PreconditionError(
-                f"membership test in degree {m} needs a {rows} x {cols} matrix "
-                f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
-            )
+        shape = _stacked_shape(ring, self.ideal.degrees, m)
+        _check_cells(f"membership test in degree {m}", *shape)
 
     @cached_property
     def echelon(self) -> Echelon:

@@ -215,14 +215,16 @@ class TestMacaulayMatrix:
         assert np.array_equal(product_row_matrix(system, 4), macaulay_matrix(system, 4).T)
 
     def test_dict_fallback_matches_fast_path(self, monkeypatch):
-        rng = SplitMix64(9)
-        system = random_form_system(3, (3, 2, 2), F, rng)
-        fast = macaulay_matrix(system, 5)
+        # packed codes at 63, 21, 15 and 9 bits per exponent
         import tcbounds.macaulay as mac
 
+        cases = ((1, (4,), 9), (3, (3, 2, 2), 5), (4, (1, 3), 6), (7, (2, 2), 3))
+        rng = SplitMix64(9)
+        systems = [(random_form_system(v, degrees, F, rng), m) for v, degrees, m in cases]
+        fast = [macaulay_matrix(system, m) for system, m in systems]
         monkeypatch.setattr(mac, "_pack_bits", lambda v, m: None)
-        slow = macaulay_matrix(system, 5)
-        assert np.array_equal(fast, slow)
+        for (system, m), mat in zip(systems, fast):
+            assert np.array_equal(mat, macaulay_matrix(system, m))
 
 
 class TestHilbert:

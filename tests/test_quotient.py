@@ -547,3 +547,10 @@ class TestSizeCap:
         f = random_form(3, 5, cubic5.ring.field, SplitMix64(3))
         with pytest.raises(PreconditionError, match=r"17928 x 8001 matrix"):
             frobenius_membership(cubic5.ring, variables_ideal(cubic5.ring, 2), f, 25)
+
+    def test_ring_eliminations_refused_before_allocating(self, cubic5, no_matrices):
+        # J's product rows at m = 3000: C(2999, 2) rows over C(3002, 2) columns
+        shape = r"relation echelon in degree 3000 needs a 4495501 x 4504501 matrix"
+        for call in (ring_dimension_at, ring_basis, quotient.GradedQuotient.relation_echelon):
+            with pytest.raises(PreconditionError, match=shape):
+                call(cubic5.ring, 3000)
