@@ -25,9 +25,6 @@ __all__ = [
     "SplitMix64",
     "Echelon",
     "binom",
-    "series_one_minus_power",
-    "series_inv_one_minus_lambda_pow",
-    "series_mul",
     "fp_rank",
     "fp_echelon",
 ]
@@ -91,7 +88,6 @@ class TruncatedSeries:
     """Integer power series kept exactly up to a cutoff degree.
 
     coeffs[m] is the degree-m coefficient; the cutoff is len(coeffs) - 1.
-    Arithmetic beyond the cutoff is discarded, never wrapped around.
     """
 
     coeffs: tuple[int, ...]
@@ -109,40 +105,6 @@ class TruncatedSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-def series_one_minus_power(a: int, cutoff: int) -> TruncatedSeries:
-    """The polynomial 1 - lambda^a as a series truncated at the cutoff."""
-    if a < 1:
-        raise PreconditionError(f"exponent a must be >= 1, got {a}")
-    coeffs = [0] * (cutoff + 1)
-    coeffs[0] = 1
-    if a <= cutoff:
-        coeffs[a] = -1
-    return TruncatedSeries(tuple(coeffs))
-
-
-def series_inv_one_minus_lambda_pow(e: int, cutoff: int) -> TruncatedSeries:
-    """(1 - lambda)^(-e); the degree-m coefficient is C(e-1+m, e-1)."""
-    if e < 1:
-        raise PreconditionError(f"exponent e must be >= 1, got {e}")
-    return TruncatedSeries(tuple(binom(e - 1 + m, e - 1) for m in range(cutoff + 1)))
-
-
-def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common cutoff; cutoffs must match."""
-    if s.cutoff != t.cutoff:
-        raise PreconditionError(f"cutoff mismatch: {s.cutoff} != {t.cutoff}")
-    n = s.cutoff
-    out = [0] * (n + 1)
-    for i, ci in enumerate(s.coeffs):
-        if ci == 0:
-            continue
-        for j in range(n + 1 - i):
-            cj = t.coeffs[j]
-            if cj:
-                out[i + j] += ci * cj
-    return TruncatedSeries(tuple(out))
 
 
 class SplitMix64:

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .arith import PreconditionError, PrimeField
 from .bounds import bound_report, build_table
@@ -25,6 +24,7 @@ from .froeberg import (
     smallest_zero,
 )
 from .macaulay import (
+    FormSystem,
     froeberg_check,
     hilbert_table,
     read_form_system,
@@ -32,28 +32,12 @@ from .macaulay import (
 )
 from .quotient import verify_theorem_b, verify_theorem_c
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_USAGE = 2
 EXIT_FAIL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one invocation, echoed into every output."""
-
-    command: str
-    params: dict
-
-    def payload(self, result: dict) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "params": self.params,
-            "result": result,
-        }
 
 
 class UsageError(Exception):
@@ -84,30 +68,17 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _env_int(name: str) -> int | None:
+def _flag_or_env(flag: int | None, name: str, fallback: int | None) -> int | None:
+    """An explicit flag wins over the environment variable `name`."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
-        return None
+        return fallback
     try:
         return int(raw)
     except ValueError:
         raise PreconditionError(f"{name} must be an integer, got {raw!r}")
-
-
-def _resolve_prime(flag: int | None, fallback: int | None = DEFAULT_PRIME) -> int | None:
-    if flag is not None:
-        return flag
-    env = _env_int("TCBOUNDS_PRIME")
-    if env is not None:
-        return env
-    return fallback
-
-
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = _env_int("TCBOUNDS_WORKERS")
-    return env if env is not None else 1
 
 
 def _degree_type(args) -> DegreeType:
@@ -148,12 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fro = sub.add_parser("froeberg", help="predicted Hilbert function and first zero")
     _add_degree_flags(p_fro)
     _add_output_flags(p_fro)
+    p_fro.set_defaults(run=cmd_froeberg, name="froeberg")
 
     p_bounds = sub.add_parser("bounds", help="all degree bounds for one degree type")
     _add_degree_flags(p_bounds)
     p_bounds.add_argument("--ainv", type=int,
                           help="a-invariant of the target ring (enables the ideal bound)")
     _add_output_flags(p_bounds)
+    p_bounds.set_defaults(run=cmd_bounds, name="bounds")
 
     p_table = sub.add_parser("table", help="bound table over a range of n at constant degree")
     p_table.add_argument("--d", type=int, required=True)
@@ -161,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=_parse_n_values, required=True,
                          help="n values, e.g. 3..8,10,11")
     _add_output_flags(p_table)
+    p_table.set_defaults(run=cmd_table, name="table")
 
     p_verify = sub.add_parser("verify", help="randomized verification experiments")
     vsub = p_verify.add_subparsers(dest="verify_command", required=True)
@@ -173,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil.add_argument("--ideal-file", dest="ideal_file",
                        help="check one explicit form system instead of random trials")
     _add_output_flags(p_hil)
+    p_hil.set_defaults(run=cmd_verify_hilbert, name="verify hilbert")
 
     p_thc = vsub.add_parser("theorem-c", help="ideal inclusion at the bound degree")
     p_thc.add_argument("--fixture", required=True, choices=fixture_names())
@@ -181,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thc.add_argument("--redraws", type=int, default=8,
                        help="maximum random draws before reporting failure")
     _add_output_flags(p_thc)
+    p_thc.set_defaults(run=cmd_verify_theorem_c, name="verify theorem-c")
 
     p_thb = vsub.add_parser("theorem-b", help="Frobenius-power membership at the bound degree")
     p_thb.add_argument("--fixture", required=True, choices=fixture_names())
@@ -190,206 +166,153 @@ def build_parser() -> argparse.ArgumentParser:
     p_thb.add_argument("--ideal-file", dest="ideal_file",
                        help="test this explicit ideal instead of the default")
     _add_output_flags(p_thb)
+    p_thb.set_defaults(run=cmd_verify_theorem_b, name="verify theorem-b")
 
     return parser
 
 
-def _scalar(x) -> str:
-    # tsv cells carry JSON literals so the two formats hold the same numbers
-    return json.dumps(x)
+def _type_line(dt: DegreeType) -> str:
+    return f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}"
 
 
-def _tsv_rows(rows: list[list]) -> str:
-    return "\n".join("\t".join(_scalar(x) for x in row) for row in rows) + "\n"
+def _refuse_with_ideal_file(args, *flags: str) -> None:
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise UsageError(f"pass either --ideal-file or {'/'.join(given)}, not both")
 
 
-def cmd_froeberg(args) -> tuple[RunConfig, dict, str, str, int]:
+def _read_system(path: str) -> FormSystem:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}")
+    return read_form_system(text)
+
+
+def _params(dt: DegreeType, args, **extra) -> dict:
+    """The parameters every command echoes, plus its own."""
+    return {"d": dt.d, "degrees": list(dt.degrees), "seed": args.seed, **extra}
+
+
+def _fixture(args):
+    """The named ring; --d defaults to its dimension parameter."""
+    fixture = make_fixture(
+        args.fixture, p=_flag_or_env(args.p, "TCBOUNDS_PRIME", None), d=args.d
+    )
+    if args.d is None:
+        args.d = fixture.ring.krull_dimension - 1
+    return fixture
+
+
+# Each command returns (params, result, pretty lines, tsv rows, exit code).
+# A tsv row is a list of cells, written as JSON literals so that the two
+# formats hold the same numbers, or a raw "# ..." comment line.
+Output = tuple[dict, dict, list[str], list, int]
+
+
+def cmd_froeberg(args) -> Output:
     dt = _degree_type(args)
     m0 = smallest_zero(dt)
     cutoff = max(dt.total - dt.d, 0)
     series = froeberg_series(dt, cutoff)
     clipped = initial_segment(series).coeffs
-    config = RunConfig(
-        command="froeberg",
-        params={"d": dt.d, "degrees": list(dt.degrees), "seed": args.seed},
-    )
-    result = {
-        "m0": m0,
-        "rows": [[m, series[m], clipped[m]] for m in range(cutoff + 1)],
-    }
-    width = max(len(str(v)) for v in series.coeffs) + 2
-    lines = [
-        f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}",
-        f"{'m':>4} {'F(m)':>{width + 4}} {'F+(m)':>{width + 4}}",
-    ]
-    for m in range(cutoff + 1):
-        lines.append(f"{m:>4} {series[m]:>{width + 4}} {clipped[m]:>{width + 4}}")
+    rows = [[m, series[m], clipped[m]] for m in range(cutoff + 1)]
+    width = max(len(str(v)) for v in series.coeffs) + 6
+    lines = [_type_line(dt), f"{'m':>4} {'F(m)':>{width}} {'F+(m)':>{width}}"]
+    lines += [f"{m:>4} {f:>{width}} {f_plus:>{width}}" for m, f, f_plus in rows]
     lines.append(f"m0 = {m0}")
-    pretty = "\n".join(lines) + "\n"
-    tsv = f"# m0={m0}\n" + _tsv_rows([["m", "f", "f_plus"]] + result["rows"])
-    return config, result, pretty, tsv, EXIT_OK
+    params = _params(dt, args)
+    tsv = [f"# m0={m0}", ["m", "f", "f_plus"], *rows]
+    return params, {"m0": m0, "rows": rows}, lines, tsv, EXIT_OK
 
 
-_PRETTY_BOUND_NAMES = {
-    "m0": "m0",
-    "tight": "tight",
-    "frobenius": "frobenius",
-    "koszul": "koszul",
-    "semistable": "semistable",
-    "semistable_frobenius": "semistable-improved",
-    "ideal": "ideal",
-}
+_BOUND_KEYS = ("m0", "tight", "frobenius", "koszul", "semistable",
+               "semistable_frobenius", "ideal")
 
 
-def cmd_bounds(args) -> tuple[RunConfig, dict, str, str, int]:
+def cmd_bounds(args) -> Output:
     dt = _degree_type(args)
     report = bound_report(dt, a_invariant=args.ainv)
-    config = RunConfig(
-        command="bounds",
-        params={
-            "d": dt.d,
-            "degrees": list(dt.degrees),
-            "ainv": args.ainv,
-            "seed": args.seed,
-        },
-    )
-    result = {
-        "m0": report.m0,
-        "tight": report.tight,
-        "frobenius": report.frobenius,
-        "koszul": report.koszul,
-        "semistable": report.semistable,
-        "semistable_frobenius": report.semistable_frobenius,
-        "ideal": report.ideal,
-        "a_invariant": report.a_invariant,
-        "hypotheses": dict(report.notes),
-    }
-    hyp = dict(report.notes)
-    lines = [f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}"]
-    rows = []
-    for key in ("m0", "tight", "frobenius", "koszul", "semistable",
-                "semistable_frobenius", "ideal"):
-        value = result[key]
-        if value is None:
-            continue
-        rows.append((_PRETTY_BOUND_NAMES[key], value, hyp.get(key, "")))
-    name_w = max(len(r[0]) for r in rows)
-    val_w = max(len(str(r[1])) for r in rows)
-    for name, value, note in rows:
-        suffix = f"   ({note})" if note else ""
-        lines.append(f"{name:<{name_w}}  {value:>{val_w}}{suffix}")
-    pretty = "\n".join(lines) + "\n"
-    tsv_table = [["name", "value"]] + [
-        [key, result[key]]
-        for key in ("m0", "tight", "frobenius", "koszul", "semistable",
-                    "semistable_frobenius", "ideal")
-        if result[key] is not None
-    ]
-    return config, result, pretty, _tsv_rows(tsv_table), EXIT_OK
+    hypotheses = dict(report.notes)
+    result = {key: getattr(report, key) for key in _BOUND_KEYS}
+    result.update(a_invariant=report.a_invariant, hypotheses=hypotheses)
+    shown = [[key, result[key]] for key in _BOUND_KEYS if result[key] is not None]
+    labels = [{"semistable_frobenius": "semistable-improved"}.get(key, key) for key, _ in shown]
+    name_w = max(len(label) for label in labels)
+    val_w = max(len(str(value)) for _, value in shown)
+    lines = [_type_line(dt)]
+    for label, (key, value) in zip(labels, shown):
+        note = hypotheses.get(key, "")
+        lines.append(f"{label:<{name_w}}  {value:>{val_w}}" + (f"   ({note})" if note else ""))
+    params = _params(dt, args, ainv=args.ainv)
+    return params, result, lines, [["name", "value"], *shown], EXIT_OK
 
 
-def cmd_table(args) -> tuple[RunConfig, dict, str, str, int]:
+def cmd_table(args) -> Output:
     table = build_table(args.d, args.a, args.n)
-    config = RunConfig(
-        command="table",
-        params={"d": args.d, "a": args.a, "n_values": list(args.n), "seed": args.seed},
-    )
     result = {
         "d": table.d,
         "a": table.a,
         "n_values": list(table.n_values),
         "rows": {name: list(values) for name, values in table.rows},
-        "limits": {name: value for name, value in table.limits},
+        "limits": dict(table.limits),
     }
-    header = ["bound"] + [f"n={n}" for n in table.n_values] + ["limit"]
-    body = [
-        [name] + [str(v) for v in values] + [str(table.limit(name))]
-        for name, values in table.rows
-    ]
-    widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
+    rows = [[name, *values, table.limit(name)] for name, values in table.rows]
+    cells = [["bound"] + [f"n={n}" for n in table.n_values] + ["limit"]]
+    cells += [[str(x) for x in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     lines = [f"d={table.d}, a={table.a}"]
-    for row in [header] + body:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    pretty = "\n".join(lines) + "\n"
-    tsv_table = [["name"] + [str(n) for n in table.n_values] + ["limit"]] + [
-        [name] + list(values) + [table.limit(name)] for name, values in table.rows
-    ]
-    return config, result, pretty, _tsv_rows(tsv_table), EXIT_OK
+    lines += ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+    params = {"d": args.d, "a": args.a, "n_values": list(args.n), "seed": args.seed}
+    tsv = [["name", *(str(n) for n in table.n_values), "limit"], *rows]
+    return params, result, lines, tsv, EXIT_OK
 
 
-def _hilbert_single(args) -> tuple[RunConfig, dict, str, str, int]:
-    try:
-        with open(args.ideal_file, "r", encoding="utf-8") as fh:
-            system = read_form_system(fh.read())
-    except OSError as exc:
-        raise PreconditionError(f"cannot read {args.ideal_file}: {exc}")
-    dt = DegreeType(system.v - 1, tuple(sorted(system.degrees, reverse=True)))
+def _hilbert_single(args) -> Output:
+    system = _read_system(args.ideal_file)
+    dt = DegreeType(system.v - 1, system.degrees)
     table = hilbert_table(system)
-    window = len(table.values) - 1
-    series = froeberg_series(dt, window)
+    series = froeberg_series(dt, len(table.values) - 1)
     clipped = initial_segment(series).coeffs
-    violations = [
-        {"m": m, "hilbert": h, "predicted": f}
-        for m, (h, f) in enumerate(zip(table.values, clipped))
-        if h < f
-    ]
-    config = RunConfig(
-        command="verify hilbert",
-        params={
-            "d": dt.d,
-            "degrees": list(dt.degrees),
-            "p": system.field.p,
-            "ideal_file": args.ideal_file,
-            "seed": args.seed,
-        },
-    )
+    rows = [[m, h, f] for m, (h, f) in enumerate(zip(table.values, clipped))]
+    violations = [{"m": m, "hilbert": h, "predicted": f} for m, h, f in rows if h < f]
+    equality = list(table.values) == list(clipped)
+    params = _params(dt, args, p=system.field.p, ideal_file=args.ideal_file)
     result = {
         "values": list(table.values),
         "first_zero": table.first_zero,
         "predicted": list(series.coeffs),
         "predicted_clipped": list(clipped),
-        "equality": list(table.values) == list(clipped),
+        "equality": equality,
         "violations": violations,
     }
-    code = EXIT_FAIL if violations else EXIT_OK
     lines = [
         f"form system from {args.ideal_file}: p={system.field.p}, "
         f"degrees={','.join(str(x) for x in system.degrees)}",
         f"hilbert   {' '.join(str(v) for v in table.values)}",
         f"predicted {' '.join(str(v) for v in clipped)}",
         f"first zero: {table.first_zero}",
-        f"equality: {str(result['equality']).lower()}",
+        f"equality: {str(equality).lower()}",
         f"violations: {len(violations)}",
     ]
-    tsv = "# single system\n" + _tsv_rows(
-        [["m", "hilbert", "predicted"]]
-        + [[m, h, f] for m, (h, f) in enumerate(zip(table.values, clipped))]
-    )
-    return config, result, "\n".join(lines) + "\n", tsv, code
+    tsv = ["# single system", ["m", "hilbert", "predicted"], *rows]
+    return params, result, lines, tsv, EXIT_FAIL if violations else EXIT_OK
 
 
-def cmd_verify_hilbert(args) -> tuple[RunConfig, dict, str, str, int]:
-    prime = _resolve_prime(args.p)
+def cmd_verify_hilbert(args) -> Output:
+    prime = _flag_or_env(args.p, "TCBOUNDS_PRIME", DEFAULT_PRIME)
     if args.ideal_file is not None:
+        _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p")
         return _hilbert_single(args)
     if args.d is None:
         raise UsageError("need --d (with --n/--a or --degrees), or --ideal-file")
     dt = _degree_type(args)
-    workers = _resolve_workers(args.workers)
+    workers = _flag_or_env(args.workers, "TCBOUNDS_WORKERS", 1)
     report = froeberg_check(
         dt.d, dt.degrees, PrimeField(prime), args.trials, args.seed, workers=workers
     )
-    config = RunConfig(
-        command="verify hilbert",
-        params={
-            "d": dt.d,
-            "degrees": list(dt.degrees),
-            "p": prime,
-            "trials": args.trials,
-            "seed": args.seed,
-            "workers": workers,
-        },
-    )
+    params = _params(dt, args, p=prime, trials=args.trials, workers=workers)
     result = {
         "window": report.window,
         "m0": report.m0,
@@ -407,51 +330,27 @@ def cmd_verify_hilbert(args) -> tuple[RunConfig, dict, str, str, int]:
             for r in report.results
         ],
     }
-    code = EXIT_FAIL if report.inequality_violations else EXIT_OK
-    first_zeros = sorted({r.first_zero for r in report.results})
     lines = [
-        f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}; "
-        f"p={prime}, trials={args.trials}, seed={args.seed}",
+        f"{_type_line(dt)}; p={prime}, trials={args.trials}, seed={args.seed}",
         f"m0 = {report.m0}",
         f"equality_rate {report.equality_rate}",
-        f"first zeros observed: {first_zeros}",
+        f"first zeros observed: {sorted({r.first_zero for r in report.results})}",
         f"inequality violations: {len(report.inequality_violations)}",
     ]
-    tsv = (
-        f"# equality_rate={_scalar(report.equality_rate)}\n"
-        + _tsv_rows(
-            [["trial", "first_zero", "equality"]]
-            + [[r.trial, r.first_zero, r.equality] for r in report.results]
-        )
-    )
-    return config, result, "\n".join(lines) + "\n", tsv, code
+    tsv = [f"# equality_rate={json.dumps(report.equality_rate)}",
+           ["trial", "first_zero", "equality"],
+           *([r.trial, r.first_zero, r.equality] for r in report.results)]
+    return params, result, lines, tsv, EXIT_FAIL if report.inequality_violations else EXIT_OK
 
 
-def _fixture_for(args):
-    prime = _resolve_prime(args.p, fallback=None)
-    return make_fixture(args.fixture, p=prime, d=args.d)
-
-
-def cmd_verify_theorem_c(args) -> tuple[RunConfig, dict, str, str, int]:
-    fixture = _fixture_for(args)
-    ring = fixture.ring
-    if args.d is None:
-        args.d = ring.krull_dimension - 1
+def cmd_verify_theorem_c(args) -> Output:
+    fixture = _fixture(args)
     dt = _degree_type(args)
     report = verify_theorem_c(
-        ring, dt, fixture.a_invariant, args.seed, max_redraws=args.redraws
+        fixture.ring, dt, fixture.a_invariant, args.seed, max_redraws=args.redraws
     )
-    config = RunConfig(
-        command="verify theorem-c",
-        params={
-            "fixture": fixture.name,
-            "p": ring.field.p,
-            "d": dt.d,
-            "degrees": list(dt.degrees),
-            "redraws": args.redraws,
-            "seed": args.seed,
-        },
-    )
+    params = _params(dt, args, fixture=fixture.name, p=fixture.ring.field.p,
+                     redraws=args.redraws)
     failures = [list(exps) for exps, ok in report.element_verdicts if not ok]
     result = {
         "fixture": fixture.name,
@@ -465,40 +364,27 @@ def cmd_verify_theorem_c(args) -> tuple[RunConfig, dict, str, str, int]:
         "passed": report.passed,
         "system": write_form_system(report.system),
     }
-    code = EXIT_OK if report.passed else EXIT_FAIL
     lines = [
         f"fixture {fixture.name}: {fixture.description}",
-        f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}",
+        _type_line(dt),
         f"inclusion degree bound: {report.bound} "
         f"(m0 + d + 1 + a-invariant, a-invariant = {report.a_invariant})",
         f"basis elements tested: {len(report.element_verdicts)}; draws: {report.draws}",
         "PASS" if report.passed else f"FAIL (missing: {failures})",
     ]
-    tsv = _tsv_rows(
-        [["key", "value"]]
-        + [
-            ["bound", report.bound],
-            ["draws", report.draws],
-            ["basis_size", len(report.element_verdicts)],
-            ["passed", report.passed],
-        ]
-    )
-    return config, result, "\n".join(lines) + "\n", tsv, code
+    tsv = [["key", "value"]]
+    tsv += [[key, result[key]] for key in ("bound", "draws", "basis_size", "passed")]
+    return params, result, lines, tsv, EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_verify_theorem_b(args) -> tuple[RunConfig, dict, str, str, int]:
-    fixture = _fixture_for(args)
+def cmd_verify_theorem_b(args) -> Output:
+    fixture = _fixture(args)
     ring = fixture.ring
-    if args.d is None:
-        args.d = ring.krull_dimension - 1
     ideal = None
     if args.ideal_file is not None:
-        try:
-            with open(args.ideal_file, "r", encoding="utf-8") as fh:
-                ideal = read_form_system(fh.read())
-        except OSError as exc:
-            raise PreconditionError(f"cannot read {args.ideal_file}: {exc}")
-        dt = DegreeType(args.d, tuple(sorted(ideal.degrees, reverse=True)))
+        _refuse_with_ideal_file(args, "n", "a", "degrees")
+        ideal = _read_system(args.ideal_file)
+        dt = DegreeType(args.d, ideal.degrees)
     elif args.degrees is None and args.n is None and args.a is None:
         # default experiment: the parameter ideal of d+1 variables
         ideal = variables_ideal(ring, ring.krull_dimension)
@@ -506,18 +392,8 @@ def cmd_verify_theorem_b(args) -> tuple[RunConfig, dict, str, str, int]:
     else:
         dt = _degree_type(args)
     report = verify_theorem_b(ring, dt, q_max=args.qmax, seed=args.seed, ideal=ideal)
-    config = RunConfig(
-        command="verify theorem-b",
-        params={
-            "fixture": fixture.name,
-            "p": ring.field.p,
-            "d": dt.d,
-            "degrees": list(dt.degrees),
-            "qmax": report.q_max,
-            "seed": args.seed,
-            "ideal_file": args.ideal_file,
-        },
-    )
+    params = _params(dt, args, fixture=fixture.name, p=ring.field.p, qmax=report.q_max,
+                     ideal_file=args.ideal_file)
     result = {
         "fixture": fixture.name,
         "description": fixture.description,
@@ -540,26 +416,24 @@ def cmd_verify_theorem_b(args) -> tuple[RunConfig, dict, str, str, int]:
     )
     lines = [
         f"fixture {fixture.name}: {fixture.description}",
-        f"degree type: d={dt.d}, degrees={','.join(str(x) for x in dt.degrees)}",
+        _type_line(dt),
         f"bound degree: {report.bound} (m0 + d + 1); q tried: {list(report.q_list)}",
         status,
         f"note: {report.note}",
     ]
-    tsv = _tsv_rows(
-        [["element", "resolved_q"]]
-        + [[",".join(str(e) for e in exps), q] for exps, q in report.elements]
-    )
-    return config, result, "\n".join(lines) + "\n", tsv, EXIT_OK
+    tsv = [["element", "resolved_q"]]
+    tsv += [[",".join(str(e) for e in exps), q] for exps, q in report.elements]
+    return params, result, lines, tsv, EXIT_OK
 
 
-_DISPATCH = {
-    "froeberg": cmd_froeberg,
-    "bounds": cmd_bounds,
-    "table": cmd_table,
-    ("verify", "hilbert"): cmd_verify_hilbert,
-    ("verify", "theorem-c"): cmd_verify_theorem_c,
-    ("verify", "theorem-b"): cmd_verify_theorem_b,
-}
+def _render(args, params: dict, result: dict, lines: list[str], rows: list) -> str:
+    if args.fmt == "json":
+        payload = {"schema": 1, "command": args.name, "params": params, "result": result}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if args.fmt == "tsv":
+        lines = [row if isinstance(row, str) else "\t".join(json.dumps(x) for x in row)
+                 for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -568,22 +442,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    key = (args.command, args.verify_command) if args.command == "verify" else args.command
     try:
-        config, result, pretty, tsv, code = _DISPATCH[key](args)
+        params, result, lines, rows, code = args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if args.fmt == "json":
-        text = json.dumps(config.payload(result), sort_keys=True,
-                          separators=(",", ":")) + "\n"
-    elif args.fmt == "tsv":
-        text = tsv
-    else:
-        text = pretty
+    text = _render(args, params, result, lines, rows)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

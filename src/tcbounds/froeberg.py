@@ -13,32 +13,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
-from .arith import (
-    PreconditionError,
-    TruncatedSeries,
-    binom,
-    series_inv_one_minus_lambda_pow,
-    series_mul,
-    series_one_minus_power,
-)
+from .arith import PreconditionError, TruncatedSeries, binom
 
 __all__ = [
     "DegreeType",
-    "FroebergProfile",
     "froeberg_value",
     "froeberg_series",
-    "froeberg_profile",
-    "clip_nonneg",
     "initial_segment",
     "smallest_zero",
     "closed_form_parameter",
     "closed_form_almost_parameter",
     "closed_form_dim1",
     "closed_form_dim2",
-    "real_root_dim2",
 ]
 
 
@@ -109,20 +97,20 @@ def froeberg_value(dt: DegreeType, m: int) -> int:
 def froeberg_series(dt: DegreeType, cutoff: int) -> TruncatedSeries:
     """Coefficients of prod(1 - t^(a_i)) / (1 - t)^(d+1) up to the cutoff.
 
-    Computed by actual series multiplication, independently of
-    froeberg_value; the two must agree coefficient by coefficient.
+    Computed as a series, independently of froeberg_value; the two must
+    agree coefficient by coefficient.  Each factor 1 - t^a is one in-place
+    pass from the top degree down, and each factor 1/(1 - t) one prefix
+    sum, so the cost is (n + d + 1) passes over the cutoff.
     """
     if cutoff < 0:
         raise PreconditionError(f"cutoff must be >= 0, got {cutoff}")
-    acc = series_inv_one_minus_lambda_pow(dt.d + 1, cutoff)
+    coeffs = [1] + [0] * cutoff
     for a in dt.degrees:
-        acc = series_mul(acc, series_one_minus_power(a, cutoff))
-    return acc
-
-
-def clip_nonneg(s: TruncatedSeries) -> TruncatedSeries:
-    """Pointwise max(0, coefficient)."""
-    return TruncatedSeries(tuple(max(0, c) for c in s.coeffs))
+        for m in range(cutoff, a - 1, -1):
+            coeffs[m] -= coeffs[m - a]
+    for _ in range(dt.d + 1):
+        coeffs = list(accumulate(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def initial_segment(s: TruncatedSeries) -> TruncatedSeries:
@@ -133,8 +121,8 @@ def initial_segment(s: TruncatedSeries) -> TruncatedSeries:
     m: the alternating sum can recover positive values beyond its first
     non-positive index (e.g. d=3, six generators of degree 10 give
     F(21) = -100 but F(36) = 70) while the generic Hilbert function stays 0
-    once it vanishes. The pointwise clip_nonneg and this clip agree up to
-    and including m0.
+    once it vanishes. The pointwise clip max(0, F(m)) and this clip agree
+    up to and including m0.
     """
     out = []
     alive = True
@@ -163,30 +151,6 @@ def smallest_zero(dt: DegreeType) -> int:
             return m
         m += 1
     return limit
-
-
-def froeberg_profile(dt: DegreeType, cutoff: int | None = None) -> "FroebergProfile":
-    """Tabulate F over 0..cutoff (default total - d) with m0 when n >= d+1."""
-    if cutoff is None:
-        cutoff = dt.total - dt.d
-        if cutoff < 0:
-            cutoff = 0
-    series = froeberg_series(dt, cutoff)
-    m0 = smallest_zero(dt) if dt.n >= dt.d + 1 else None
-    return FroebergProfile(degree_type=dt, values=series.coeffs, m0=m0)
-
-
-@dataclass(frozen=True)
-class FroebergProfile:
-    """F(m) for m = 0..cutoff plus the smallest zero when it exists."""
-
-    degree_type: DegreeType
-    values: tuple[int, ...]
-    m0: int | None
-
-    @property
-    def clipped(self) -> tuple[int, ...]:
-        return clip_nonneg(TruncatedSeries(self.values)).coeffs
 
 
 def closed_form_parameter(dt: DegreeType) -> int:
@@ -219,14 +183,6 @@ def closed_form_dim1(n: int, a: int) -> int:
     return -(-n * a // (n - 1)) - 1
 
 
-def _dim2_root_data(n: int, a: int) -> tuple[int, int, int]:
-    # the positive root of the quadratic piece of F is (A + sqrt(D)) / C
-    num = 3 - 3 * n + 2 * a * n
-    disc = 1 - 2 * n + n * n + 4 * a * a * n
-    den = 2 * (n - 1)
-    return num, disc, den
-
-
 def closed_form_dim2(n: int, a: int) -> int:
     """m0 for d=2 and n generators of constant degree a.
 
@@ -241,20 +197,11 @@ def closed_form_dim2(n: int, a: int) -> int:
         raise PreconditionError(f"degree must be positive, got {a}")
     if n == 3:
         return 3 * a - 2
-    num, disc, den = _dim2_root_data(n, a)
+    # the positive root of the quadratic piece of F is (A + sqrt(D)) / C
+    num = 3 - 3 * n + 2 * a * n
+    disc = 1 - 2 * n + n * n + 4 * a * a * n
+    den = 2 * (n - 1)
     m = (num + math.isqrt(disc)) // den
     while not (den * m - num >= 0 and (den * m - num) ** 2 >= disc):
         m += 1
     return m
-
-
-def real_root_dim2(n: int, a: int, digits: int = 6) -> Fraction:
-    """The real root (A + sqrt(D)) / C itself, as an exact rational
-    approximation accurate to the requested number of decimal digits."""
-    if n < 4:
-        raise PreconditionError(f"the root formula needs n >= 4, got n={n}")
-    num, disc, den = _dim2_root_data(n, a)
-    scale = 10**digits
-    # isqrt(D * scale^2) approximates sqrt(D) * scale within 1
-    approx = num * scale + math.isqrt(disc * scale * scale)
-    return Fraction(approx, den * scale)

@@ -59,11 +59,6 @@ class Monomial:
     def v(self) -> int:
         return len(self.exponents)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise PreconditionError("variable count mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def __pow__(self, q: int) -> "Monomial":
         return Monomial(tuple(e * q for e in self.exponents))
 
@@ -172,12 +167,6 @@ class Form:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, mono: Monomial) -> int:
-        for exps, coeff in self.terms:
-            if exps == mono.exponents:
-                return coeff
-        return 0
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,6 @@ from tcbounds.arith import (
     binom,
     fp_echelon,
     fp_rank,
-    series_inv_one_minus_lambda_pow,
-    series_mul,
-    series_one_minus_power,
 )
 from tcbounds.arith import (
     _BLOCK,
@@ -110,55 +107,6 @@ class TestPrimeField:
 
 
 class TestSeries:
-    def test_one_minus_power(self):
-        assert series_one_minus_power(2, 3).coeffs == (1, 0, -1, 0)
-        assert series_one_minus_power(1, 2).coeffs == (1, -1, 0)
-        assert series_one_minus_power(5, 3).coeffs == (1, 0, 0, 0)
-
-    def test_inv_one_minus_lambda_pow(self):
-        assert series_inv_one_minus_lambda_pow(1, 3).coeffs == (1, 1, 1, 1)
-        assert series_inv_one_minus_lambda_pow(3, 3).coeffs == (1, 3, 6, 10)
-        assert series_inv_one_minus_lambda_pow(2, 0).coeffs == (1,)
-
-    def test_mul_examples(self):
-        s = TruncatedSeries((1, 1))
-        t = TruncatedSeries((1, -1))
-        assert series_mul(s, t).coeffs == (1, 0)
-        u = TruncatedSeries((1, 2, 1))
-        v = TruncatedSeries((1, 1, 1))
-        assert series_mul(u, v).coeffs == (1, 3, 4)
-
-    def test_mul_identity(self):
-        s = TruncatedSeries((3, -1, 4, 1, -5))
-        unit = TruncatedSeries((1, 0, 0, 0, 0))
-        assert series_mul(s, unit) == s
-
-    def test_mul_cutoff_mismatch(self):
-        with pytest.raises(PreconditionError):
-            series_mul(TruncatedSeries((1, 1)), TruncatedSeries((1, 1, 1)))
-
-    def test_mul_associative_commutative(self):
-        rng = SplitMix64(11)
-        for _ in range(40):
-            n = rng.next_below(6)
-            mk = lambda: TruncatedSeries(
-                tuple(rng.next_below(19) - 9 for _ in range(n + 1))
-            )
-            s, t, u = mk(), mk(), mk()
-            assert series_mul(s, t) == series_mul(t, s)
-            assert series_mul(series_mul(s, t), u) == series_mul(s, series_mul(t, u))
-
-    def test_inverse_series_property(self):
-        # (1-lambda)^(-e) * (1-lambda)^e == 1 up to cutoff
-        for e in (1, 2, 3, 5):
-            cut = 12
-            inv = series_inv_one_minus_lambda_pow(e, cut)
-            fwd = TruncatedSeries(
-                tuple((-1) ** k * binom(e, k) for k in range(cut + 1))
-            )
-            prod = series_mul(inv, fwd)
-            assert prod.coeffs == (1,) + (0,) * cut
-
     def test_empty_series_rejected(self):
         with pytest.raises(PreconditionError):
             TruncatedSeries(())

@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -283,6 +285,21 @@ class TestVerifyHilbert:
         assert code == 1
         assert "cannot read" in err
 
+    def test_ideal_file_refuses_degree_and_prime_flags(self, capsys, tmp_path):
+        # the file fixes the degree type and the prime; a flag that names
+        # them too would be silently ignored
+        path = tmp_path / "squares.txt"
+        path.write_text("p=32003 v=2\n2; 2 0:1\n2; 0 2:1\n")
+        base = ["verify", "hilbert", "--ideal-file", str(path)]
+        code, out, err = run_cli(capsys, *base, "--d", "3", "--degrees", "5,5", "--p", "97")
+        assert (code, out) == (2, "")
+        assert err == "usage error: pass either --ideal-file or --d/--degrees/--p, not both\n"
+        for flag, value in (("--d", "1"), ("--n", "2"), ("--a", "2"), ("--degrees", "2,2"),
+                            ("--p", "32003")):
+            code, out, err = run_cli(capsys, *base, flag, value)
+            assert (code, out) == (2, ""), flag
+            assert err.startswith("usage error: pass either --ideal-file or "), flag
+
 
 class TestVerifyTheorems:
     def test_theorem_c_fermat_cubic(self, capsys):
@@ -336,6 +353,16 @@ class TestVerifyTheorems:
         assert payload["result"]["all_resolved"] is True
         assert payload["params"]["ideal_file"] == str(path)
 
+    def test_theorem_b_ideal_file_refuses_degree_flags(self, capsys, tmp_path):
+        path = tmp_path / "xy.txt"
+        path.write_text("p=2 v=3\n1; 1 0 0:1\n1; 0 1 0:1\n")
+        base = ["verify", "theorem-b", "--fixture", "fermat-cubic-p2", "--qmax", "16",
+                "--ideal-file", str(path)]
+        for flags in (["--degrees", "3,3"], ["--n", "2"], ["--a", "2"], ["--n", "2", "--a", "2"]):
+            code, out, err = run_cli(capsys, *base, *flags)
+            assert (code, out) == (2, ""), flags
+            assert err.startswith("usage error: pass either --ideal-file or --"), flags
+
     def test_oversized_test_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a matrix was built")
@@ -373,6 +400,19 @@ class TestVerifyTheorems:
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         assert cli.main(["verify", "theorem-c", "--fixture", "nope", "--n", "3", "--a", "2"]) == 2
+
+
+class TestReadme:
+    def test_examples_match_readme(self, capsys, monkeypatch):
+        """Every `$ tcbounds ...` block of README.md prints what it shows."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"^```\n\$ tcbounds (.*?)\n(.*?)^```$", readme, re.M | re.S)
+        assert examples
+        monkeypatch.delenv("TCBOUNDS_PRIME", raising=False)
+        monkeypatch.delenv("TCBOUNDS_WORKERS", raising=False)
+        for command, shown in examples:
+            code, out, err = run_cli(capsys, *shlex.split(command))
+            assert (code, out, err) == (0, shown, ""), command
 
 
 class TestOutputPlumbing:
