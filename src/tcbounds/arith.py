@@ -1,14 +1,10 @@
 """Exact integer, binomial, modular, and truncated-power-series arithmetic.
 
 Integers are Python ints throughout (arbitrary precision, never wrapped).
-Matrix ranks over a prime field use hand-written Gaussian elimination on
-int64 numpy arrays.  For p up to _BLOCK_P_LIMIT the blocked kernel delays
-modular reduction: it reduces an entry only where it reads it, and between
-reads an entry accumulates at most (p-1)^2 per pivot.  That is exact while
-block * (p-1)^2 < 2^53 (float64 matmuls) and
-p + min(rows, cols) * (p-1)^2 < 2^63 (int64 entries), which the kernel
-checks before it starts (see _eliminate_blocked).  Larger p use a path
-that reduces after every step.
+Matrix ranks over a prime field use one hand-written Gaussian elimination
+on int64 numpy arrays with delayed modular reduction, exact for every
+p < 2^31: _check_exact derives from p, the panel width and the shape what
+keeps its float64 and int64 intermediates exact.
 """
 
 from __future__ import annotations
@@ -138,93 +134,100 @@ class SplitMix64:
 
 # _eliminate_blocked works on panels of _BLOCK columns, sub-panels of
 # _SUB_BLOCK columns, and updates the rows below a panel _CHUNK_ROWS at a
-# time.  p above _BLOCK_P_LIMIT, and any matrix with a side of at most
-# _SIMPLE_MIN_DIM, take the per-step-reduced path instead.
+# time.
 _BLOCK = 64
 _SUB_BLOCK = 16
 _CHUNK_ROWS = 256
-_BLOCK_P_LIMIT = 2_000_000
-_SIMPLE_MIN_DIM = 64
 
 
-def _eliminate_simple(a: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Row elimination reducing mod p after every update; any p < 2^31."""
-    rows, cols = a.shape
-    rank = 0
-    pivots: list[int] = []
-    for col in range(cols):
-        if rank == rows:
-            break
-        colv = a[rank:, col] % p
-        a[rank:, col] = colv
-        nz = np.nonzero(colv)[0]
-        if nz.size == 0:
-            continue
-        i0 = rank + int(nz[0])
-        if i0 != rank:
-            a[[rank, i0]] = a[[i0, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = (a[rank, col:] % p) * inv % p
-        mults = a[rank + 1 :, col]
-        if mults.size and col + 1 < cols:
-            a[rank + 1 :, col + 1 :] = (
-                a[rank + 1 :, col + 1 :] - mults[:, None] * a[rank, col + 1 :][None, :]
-            ) % p
-        a[rank + 1 :, col] = 0
-        pivots.append(col)
-        rank += 1
-    return rank, pivots
+def _check_exact(p: int, block: int, rows: int, cols: int) -> tuple[bool, bool]:
+    """(split, eager) that keep _eliminate_blocked exact on a rows x cols
+    matrix mod p with panels of `block` columns.
 
-
-def _check_exact(p: int, block: int, rows: int, cols: int) -> None:
-    if block * (p - 1) ** 2 >= 2**53:
+    split: a float64 matmul of operands in [0, p) over `block` terms may
+    reach block * (p-1)^2 >= 2^53, so each splits its right operand into
+    16-bit halves.  Their products stay below block * (p-1) * (2^16-1),
+    which is < 2^53 for every p < 2^31 while block <= 64; a pair where it
+    is not is refused.  eager: min(rows, cols) pivots of (p-1)^2 each may
+    take an int64 entry past 2^63, so each update is reduced as written.
+    """
+    split = block * (p - 1) ** 2 >= 2**53
+    if split and block * (p - 1) * (2**16 - 1) >= 2**53:
         raise PreconditionError(
             f"float64 matmul over {block} terms is not exact mod {p}: "
-            f"{block} * (p-1)^2 >= 2^53"
+            f"{block} * (p-1) * (2^16-1) >= 2^53"
         )
-    n = min(rows, cols)
-    if p + n * (p - 1) ** 2 >= 2**63:
-        raise PreconditionError(
-            f"int64 accumulation over {n} pivots is not exact mod {p}: "
-            f"p + {n} * (p-1)^2 >= 2^63"
-        )
+    eager = p + min(rows, cols) * (p - 1) ** 2 >= 2**63
+    return split, eager
 
 
-def _panel_ops(mult: np.ndarray, scales: list[int], p: int) -> np.ndarray:
+def _panel_ops(mult: np.ndarray, scales: list[int], p: int, eager: bool) -> np.ndarray:
     """The t x t matrix T of a panel's row operations on its t pivot rows.
 
     Pivot row j had rows i < j subtracted from it, mult[i, j] times each,
     and was then scaled by scales[j].  The same steps on the identity give
     T, so that the final pivot rows are T @ (the rows on entry) mod p.  An
-    entry of T accumulates at most t * (p-1)^2 before its row is reduced.
+    entry of T accumulates at most t * (p-1)^2 before its row is reduced,
+    or is reduced after each step when eager.
     """
     t = len(scales)
     ops = np.eye(t, dtype=np.int64)
     for j in range(t):
         ops[j, : j + 1] = ops[j, : j + 1] % p * scales[j] % p
         ops[j + 1 :, : j + 1] -= mult[j, j + 1 :, None] * ops[j, : j + 1]
+        if eager:
+            ops[j + 1 :, : j + 1] %= p
     return ops
 
 
+def _right_operand(x: np.ndarray, split: bool) -> np.ndarray:
+    """x, with entries in [0, p), as the float64 right operand of a matmul:
+    as it is, or when split its high and low 16-bit halves side by side."""
+    if split:
+        x = np.concatenate((x >> 16, x & 0xFFFF), axis=1)
+    return x.astype(np.float64)
+
+
+def _product(left_f: np.ndarray, right_f: np.ndarray, p: int, split: bool) -> np.ndarray:
+    """left_f @ right for right_f = _right_operand(right, split), exactly:
+    as float64, or when split as int64 reduced mod p, the halves' products
+    combined as (hi mod p) * 2^16 + lo < 2^47 + 2^53."""
+    prod = left_f @ right_f
+    if not split:
+        return prod
+    prod = prod.astype(np.int64)
+    w = prod.shape[1] // 2
+    return ((prod[:, :w] % p << 16) + prod[:, w:]) % p
+
+
 def _apply_pivots(
-    top: np.ndarray, below: np.ndarray, ops: np.ndarray, mult: np.ndarray, p: int
+    top: np.ndarray,
+    below: np.ndarray,
+    ops: np.ndarray,
+    mult: np.ndarray,
+    p: int,
+    split: bool,
+    eager: bool,
 ) -> None:
     """Carry t pivots into columns that their elimination did not touch.
 
     top (t rows: the pivot rows in those columns) becomes ops @ top mod p,
     its final value; then below -= mult @ top, where mult (rows of below x
-    t) holds the reduced multipliers.  Both are float64 matmuls of operands
-    in [0, p) over t <= block terms, so exact.  below is updated in chunks
-    of rows, so no float64 temporary of its full size is made.
+    t) holds the reduced multipliers, and below is reduced mod p at once
+    when eager.  Both are matmuls of operands in [0, p) over t <= block
+    terms, exact by _check_exact.  below is updated in chunks of rows, so
+    no temporary of its full size is made.
     """
-    top[...] = (ops.astype(np.float64) @ (top % p).astype(np.float64)).astype(np.int64) % p
-    top_f = top.astype(np.float64)
+    top_f = _right_operand(top % p, split)
+    top[...] = _product(ops.astype(np.float64), top_f, p, split).astype(np.int64) % p
+    top_f = _right_operand(top, split)
     mult_f = mult.astype(np.float64)
     for s in range(0, below.shape[0], _CHUNK_ROWS):
         part = below[s : s + _CHUNK_ROWS]
-        np.subtract(
-            part, mult_f[s : s + _CHUNK_ROWS] @ top_f, out=part, dtype=np.int64, casting="unsafe"
-        )
+        prod = _product(mult_f[s : s + _CHUNK_ROWS], top_f, p, split)
+        np.subtract(part, prod, out=part, dtype=np.int64, casting="unsafe")
+        if eager:
+            part %= p
 
 
 def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
@@ -243,15 +246,16 @@ def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     that is a column before its pivot search, a pivot row before it is
     scaled, and both operands of every float64 matmul.  Every other entry
     only accumulates: it starts in [0, p) and takes at most one
-    contribution in [0, (p-1)^2] per pivot, subtracted.  This is exact
-    while block * (p-1)^2 < 2^53 (float64 matmuls over at most `block`
-    terms) and p + min(rows, cols) * (p-1)^2 < 2^63 (int64 entries); both
-    are checked before `a` is touched.  The pivot is the first nonzero
-    entry of its column, so ranks, pivot columns and the pivot rows, all
-    reduced into [0, p), are those of _eliminate_simple.
+    contribution in [0, (p-1)^2] per pivot, subtracted.  The split and
+    eager facts of _check_exact, derived before `a` is touched, keep this
+    exact for every p < 2^31.  The pivot is the first nonzero entry of its
+    column, so ranks, pivot columns and the pivot rows, all reduced into
+    [0, p), are those of plain Gaussian elimination.
     """
     rows, cols = a.shape
-    _check_exact(p, block, rows, cols)
+    if rows == 0 or cols == 0:
+        return 0, []
+    split, eager = _check_exact(p, block, rows, cols)
     rank = 0
     pivots: list[int] = []
     for panel_start in range(0, cols, block):
@@ -283,6 +287,8 @@ def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
                 pan[c:sub_end, t] = pan[c:sub_end, t] % p * inv % p
                 rest = pan[c + 1 : sub_end]
                 rest[:, t + 1 :] -= rest[:, t, None] * pan[c, None, t + 1 :]
+                if eager:
+                    rest[:, t + 1 :] %= p
                 local.append(c)
                 scales.append(inv)
                 pivots.append(panel_start + c)
@@ -292,9 +298,11 @@ def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
                 _apply_pivots(
                     pan[sub_end:, t0:t].T,
                     pan[sub_end:, t:].T,
-                    _panel_ops(mult[:, : t - t0], scales[t0:], p),
+                    _panel_ops(mult[:, : t - t0], scales[t0:], p, eager),
                     mult[:, t - t0 :].T,
                     p,
+                    split,
+                    eager,
                 )
         mult = pan[local]
         for j, c in enumerate(local):
@@ -304,21 +312,14 @@ def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
             _apply_pivots(
                 a[rank : rank + t, panel_end:],
                 a[rank + t :, panel_end:],
-                _panel_ops(mult[:, :t], scales, p),
+                _panel_ops(mult[:, :t], scales, p, eager),
                 mult[:, t:].T,
                 p,
+                split,
+                eager,
             )
         rank += t
     return rank, pivots
-
-
-def _eliminate(a: np.ndarray, p: int) -> tuple[int, list[int]]:
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0, []
-    if p > _BLOCK_P_LIMIT or min(rows, cols) <= _SIMPLE_MIN_DIM:
-        return _eliminate_simple(a, p)
-    return _eliminate_blocked(a, p)
 
 
 def _to_matrix(matrix, p: int) -> np.ndarray:
@@ -336,7 +337,7 @@ def fp_rank(matrix, field: PrimeField | int) -> int:
     """
     fld = _as_field(field)
     a = _to_matrix(matrix, fld.p)
-    rank, _ = _eliminate(a, fld.p)
+    rank, _ = _eliminate_blocked(a, fld.p)
     return rank
 
 
@@ -376,5 +377,5 @@ def fp_echelon(matrix, field: PrimeField | int) -> Echelon:
     """
     fld = _as_field(field)
     a = _to_matrix(matrix, fld.p)
-    rank, pivots = _eliminate(a, fld.p)
+    rank, pivots = _eliminate_blocked(a, fld.p)
     return Echelon(p=fld.p, rank=rank, pivot_columns=tuple(pivots), rows=a[:rank].copy())

@@ -161,12 +161,6 @@ class BoundTable:
     rows: tuple[tuple[str, tuple[int, ...]], ...]
     limits: tuple[tuple[str, int], ...]
 
-    def row(self, name: str) -> tuple[int, ...]:
-        for key, values in self.rows:
-            if key == name:
-                return values
-        raise KeyError(name)
-
     def limit(self, name: str) -> int:
         for key, value in self.limits:
             if key == name:

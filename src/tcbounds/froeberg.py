@@ -137,12 +137,16 @@ def smallest_zero(dt: DegreeType) -> int:
     """m0 = min{m : F(m) <= 0}; requires n >= d+1, and m0 <= total - d.
 
     The generating polynomial has degree total - d - 1 when n >= d+1, so the
-    scan is guaranteed to terminate by total - d.
+    scan is guaranteed to terminate by total - d.  For n = d+1 it is
+    prod(1 + t + ... + t^(a_i - 1)), positive up to that degree, so m0 is
+    total - d without a scan.
     """
     if dt.n < dt.d + 1:
         raise PreconditionError(
             f"no inclusion bound (n < d+1): n={dt.n}, d={dt.d}"
         )
+    if dt.n == dt.d + 1:
+        return closed_form_parameter(dt)
     limit = dt.total - dt.d
     # F(m) = C(d+m, d) > 0 below the smallest degree
     m = min(dt.degrees)

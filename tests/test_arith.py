@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tcbounds.arith import (
@@ -21,10 +21,9 @@ from tcbounds.arith import (
 )
 from tcbounds.arith import (
     _BLOCK,
-    _BLOCK_P_LIMIT,
+    _apply_pivots,
     _check_exact,
     _eliminate_blocked,
-    _eliminate_simple,
     _is_prime,
 )
 from tcbounds.macaulay import macaulay_matrix, random_form_system
@@ -169,10 +168,9 @@ class TestFpRank:
         p = 32003
         for r, c, k in ((150, 190, 80), (200, 150, 150), (130, 130, 129)):
             a = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
-            r1, piv1 = _eliminate_simple(a.astype(np.int64).copy(), p)
-            r2, piv2 = _eliminate_blocked(a.astype(np.int64).copy(), p)
-            assert (r1, piv1) == (r2, piv2)
-            assert r1 <= k
+            rank, pivots, _ = echelon_reference(a.tolist(), p)
+            assert _eliminate_blocked(a.astype(np.int64).copy(), p) == (rank, pivots)
+            assert rank <= k
 
     def test_blocked_small_blocks_against_oracle(self):
         rng = np.random.default_rng(4)
@@ -256,12 +254,10 @@ class TestFpEchelon:
         rng = np.random.default_rng(10)
         p = 32003
         a = (rng.integers(0, p, (160, 90)) @ rng.integers(0, p, (90, 170))) % p
-        b1 = a.astype(np.int64).copy()
-        b2 = a.astype(np.int64).copy()
-        r1, piv1 = _eliminate_simple(b1, p)
-        r2, piv2 = _eliminate_blocked(b2, p)
-        assert (r1, piv1) == (r2, piv2)
-        assert np.array_equal(b1[:r1] % p, b2[:r2] % p)
+        rank, pivots, rows = echelon_reference(a.tolist(), p)
+        b = a.astype(np.int64).copy()
+        assert _eliminate_blocked(b, p) == (rank, pivots)
+        assert b[:rank].tolist() == rows
 
 
 def _prime_from(n: int, step: int) -> int:
@@ -270,20 +266,25 @@ def _prime_from(n: int, step: int) -> int:
     return n
 
 
-# the smallest primes, the working prime, the largest prime the blocked
-# kernel takes, the first one past it (per-step-reduced path) and the
-# largest modulus PrimeField accepts
+# the largest p - 1 whose square, times _BLOCK, stays below 2^53
+_SPLIT_FREE = math.isqrt((2**53 - 1) // _BLOCK)
+
+# the smallest primes, the working prime, 2000003, the last prime without
+# split at _BLOCK, the first one with it, and the largest modulus
+# PrimeField accepts, the only one here that is also eager on the shapes
+# below
 KERNEL_PRIMES = (
     2,
     3,
     32003,
-    _prime_from(_BLOCK_P_LIMIT - 1, -1),
-    _prime_from(_BLOCK_P_LIMIT + 1, 1),
+    2_000_003,
+    _prime_from(_SPLIT_FREE + 1, -1),
+    _prime_from(_SPLIT_FREE + 2, 1),
     2**31 - 1,
 )
 
-# (v, degrees, m): Macaulay matrices from 15 x 12 up to 78 x 176, so that
-# either orientation may take either path
+# (v, degrees, m): Macaulay matrices from 15 x 12 up to 78 x 176, narrower
+# and wider than one panel
 MACAULAY_SHAPES = (
     (3, (2, 2), 4),
     (3, (2, 2, 2), 10),
@@ -328,15 +329,21 @@ class TestKernelAgainstReference:
     rank, pivot columns and rows must agree exactly."""
 
     def test_prime_list(self):
-        assert KERNEL_PRIMES[3] < _BLOCK_P_LIMIT < KERNEL_PRIMES[4]
-        assert KERNEL_PRIMES[3:5] == (1_999_993, 2_000_003)
+        assert KERNEL_PRIMES[4:] == (11_863_279, 11_863_289, 2**31 - 1)
+        # (split, eager) on every shape kernel_matrices draws: the smallest
+        # side is between 9 and 129
+        for n in (9, 129):
+            assert [_check_exact(p, _BLOCK, n, n) for p in KERNEL_PRIMES] == [
+                (False, False)
+            ] * 5 + [(True, False), (True, True)]
 
     @given(kernel_matrices())
-    # full rank on the blocked path: 70 x 129 reaches rank == rows in its
-    # second panel; 129 x 129 at the largest prime that path takes carries
-    # the most accumulation per entry
+    # full rank: 70 x 129 reaches rank == rows in its second panel; 129 x
+    # 129 at the last prime without split carries the most delayed
+    # accumulation per entry, and at 2^31 - 1 it is split and eager
     @example((np.random.default_rng(1).integers(0, 32003, (70, 129)), 32003))
-    @example((np.random.default_rng(2).integers(0, 1_999_993, (129, 129)), 1_999_993))
+    @example((np.random.default_rng(2).integers(0, 11_863_279, (129, 129)), 11_863_279))
+    @example((np.random.default_rng(3).integers(0, 2**31 - 1, (129, 129)), 2**31 - 1))
     def test_fp_rank_and_echelon(self, case):
         a, p = case
         rank, pivots, rows = echelon_reference(a.tolist(), p)
@@ -346,14 +353,13 @@ class TestKernelAgainstReference:
         assert ech.pivot_columns == tuple(pivots)
         assert ech.rows.tolist() == rows
 
-    @given(
-        kernel_matrices(primes=tuple(p for p in KERNEL_PRIMES if p < _BLOCK_P_LIMIT)),
-        st.sampled_from((8, 24, _BLOCK, 80)),
-    )
+    @given(kernel_matrices(), st.sampled_from((8, 24, _BLOCK, 80)))
     def test_blocked_kernel(self, case, block):
         # small and odd panel widths put panel and sub-panel edges at many
         # columns of a small matrix
         a, p = case
+        # a panel of 80 columns is refused at 2^31 - 1 (TestBlockedExactness)
+        assume(block <= _BLOCK or p < 2**31 - 1)
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         b = a % p
         assert _eliminate_blocked(b, p, block) == (rank, pivots)
@@ -361,41 +367,78 @@ class TestKernelAgainstReference:
 
 
 class TestBlockedExactness:
-    """_eliminate_blocked refuses a block size and prime whose float64 or
-    int64 intermediates could be inexact, before it touches the matrix."""
+    """_check_exact derives split and eager from p, the block size and the
+    shape.  Each flips exactly at its bound, and the kernel matches
+    echelon_reference on both sides.  Only a block that even split
+    matmuls cannot keep exact is refused, before the matrix is touched."""
 
     def test_float64_bound_refused(self):
         p = 2**31 - 1
         a = np.random.default_rng(12).integers(0, p, (70, 70))
         before = a.copy()
         with pytest.raises(PreconditionError, match=r"2\^53"):
-            _eliminate_blocked(a, p)
+            _eliminate_blocked(a, p, block=80)
         assert np.array_equal(a, before)
 
-    def test_int64_bound_refused(self):
-        # the largest prime with (p-1)^2 < 2^53 passes the float64 bound at
-        # block 1; n pivots then overflow int64 for n >= 1025
+    def test_int64_bound_reduces_eagerly(self):
+        # the largest prime with (p-1)^2 < 2^53 is not split at block 1; n
+        # pivots may overflow int64 for n >= 1025, so it is eager there
         p = _prime_from(94906265, -1)
         assert (p - 1) ** 2 < 2**53 <= 94906266**2
         n = 2**63 // (p - 1) ** 2 + 1
         a = np.ones((n, n), dtype=np.int64)
-        with pytest.raises(PreconditionError, match=r"2\^63"):
-            _eliminate_blocked(a, p, block=1)
-        assert (a == 1).all()
+        assert _check_exact(p, 1, n, n) == (False, True)
+        assert _eliminate_blocked(a, p, block=1) == (1, [0])
+        assert (a[0] == 1).all()
+
+    def test_unsplit_update_is_reduced_when_eager(self):
+        # eager without split needs over 1024 pivots at block 1 (above), too
+        # many to eliminate here; one trailing update of (p-1)^2 shows it
+        p = _prime_from(94906265, -1)
+        ops = np.ones((1, 1), dtype=np.int64)
+        mult = np.full((2, 1), p - 1)
+        for eager in (False, True):
+            top = np.full((1, 3), p - 1)
+            below = np.ones((2, 3), dtype=np.int64)
+            _apply_pivots(top, below, ops, mult, p, False, eager)
+            delayed = 1 - (p - 1) ** 2
+            assert (below == (delayed % p if eager else delayed)).all()
 
     def test_bounds_are_exact(self):
-        # each bound admits the last value below it and refuses the next
+        # each derivation flips between the last value below its bound and
+        # the next
         p = _prime_from(94906265, -1)
         n = 2**63 // (p - 1) ** 2 + 1
-        _check_exact(p, 1, n - 1, 10 * n)
+        assert _check_exact(p, 1, n - 1, 10 * n) == (False, False)
+        assert _check_exact(p, 1, n, n) == (False, True)
+        assert _check_exact(2**31 - 1, _BLOCK, 2, 2) == (True, False)
+        assert _check_exact(2**31 - 1, _BLOCK, 3, 3) == (True, True)
+        assert _check_exact(KERNEL_PRIMES[4], _BLOCK, 1, 1) == (False, False)
+        assert _check_exact(KERNEL_PRIMES[5], _BLOCK, 1, 1) == (True, False)
+        # split matmuls are exact over 64 terms for every p < 2^31, not 65;
+        # at p = 32003 a block past the unsplit bound is past the split one
         with pytest.raises(PreconditionError):
-            _check_exact(p, 1, n, n)
+            _check_exact(2**31 - 1, _BLOCK + 1, 1, 1)
         block = 2**53 // 32002**2
-        _check_exact(32003, block, 1, 1)
+        assert _check_exact(32003, block, 1, 1) == (False, False)
         with pytest.raises(PreconditionError):
             _check_exact(32003, block + 1, 1, 1)
 
     def test_blocked_range_is_covered(self):
-        # every prime the blocked path takes passes both bounds at _BLOCK
-        # for any matrix with fewer than 10^6 rows or columns
-        _check_exact(KERNEL_PRIMES[3], _BLOCK, 10**6, 10**6)
+        # every prime PrimeField accepts is exact at _BLOCK for any shape
+        assert _check_exact(2**31 - 1, _BLOCK, 10**9, 10**9) == (True, True)
+
+    @pytest.mark.parametrize(
+        "p, shape",
+        [
+            (KERNEL_PRIMES[4], (70, 129)),
+            (KERNEL_PRIMES[5], (70, 129)),
+            (2**31 - 1, (2, 5)),
+            (2**31 - 1, (3, 5)),
+        ],
+    )
+    def test_kernel_on_both_sides(self, p, shape):
+        a = np.random.default_rng(13).integers(0, p, shape)
+        rank, pivots, rows = echelon_reference(a.tolist(), p)
+        assert _eliminate_blocked(a, p) == (rank, pivots)
+        assert a[:rank].tolist() == rows

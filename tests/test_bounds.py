@@ -157,35 +157,30 @@ class TestBoundReport:
 class TestBuildTable:
     def test_reference_rows_d1(self):
         table = build_table(1, 10, [2, 3, 4, 5, 6, 7, 10, 11])
-        assert table.row("generic") == (20, 15, 14, 13, 12, 12, 12, 11)
-        assert table.row("koszul") == (20,) * 8
-        assert table.row("semistable") == (20, 15, 14, 13, 12, 12, 12, 11)
+        assert dict(table.rows)["generic"] == (20, 15, 14, 13, 12, 12, 12, 11)
+        assert dict(table.rows)["koszul"] == (20,) * 8
+        assert dict(table.rows)["semistable"] == (20, 15, 14, 13, 12, 12, 12, 11)
         assert table.limit("koszul") == 20
         assert table.limit("semistable") == 11
         assert table.limit("generic") == 11
 
     def test_reference_rows_d2(self):
         table = build_table(2, 10, [3, 4, 5, 6, 7, 8, 10, 11])
-        assert table.row("generic") == (30, 21, 19, 18, 17, 16, 16, 15)
-        assert table.row("koszul") == (30,) * 8
-        assert table.row("semistable") == (30, 27, 25, 24, 24, 23, 23, 22)
+        assert dict(table.rows)["generic"] == (30, 21, 19, 18, 17, 16, 16, 15)
+        assert dict(table.rows)["koszul"] == (30,) * 8
+        assert dict(table.rows)["semistable"] == (30, 27, 25, 24, 24, 23, 23, 22)
         assert (table.limit("koszul"), table.limit("semistable"), table.limit("generic")) == (30, 21, 12)
 
     def test_reference_rows_d3(self):
         table = build_table(3, 10, list(range(4, 12)))
-        assert table.row("generic") == (40, 26, 24, 22, 22, 21, 20, 20)
-        assert table.row("koszul") == (40,) * 8
-        assert table.row("semistable") == (40, 38, 36, 35, 35, 34, 34, 33)
+        assert dict(table.rows)["generic"] == (40, 26, 24, 22, 22, 21, 20, 20)
+        assert dict(table.rows)["koszul"] == (40,) * 8
+        assert dict(table.rows)["semistable"] == (40, 38, 36, 35, 35, 34, 34, 33)
         assert (table.limit("koszul"), table.limit("semistable"), table.limit("generic")) == (40, 31, 13)
 
     def test_rejects_small_n(self):
         with pytest.raises(PreconditionError):
             build_table(2, 10, [2, 3])
-
-    def test_unknown_row(self):
-        table = build_table(1, 4, [2, 3])
-        with pytest.raises(KeyError):
-            table.row("nope")
 
 
 class TestAsymptotics:

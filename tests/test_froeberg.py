@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from tcbounds import froeberg
 from tcbounds.arith import PreconditionError, SplitMix64, TruncatedSeries
+from tcbounds.bounds import bound_report
 from tcbounds.froeberg import (
     DegreeType,
     closed_form_almost_parameter,
@@ -179,11 +181,25 @@ class TestClosedForms:
             closed_form_parameter(DegreeType(2, (3, 3)))
 
     def test_parameter_matches_scan(self):
+        # smallest_zero takes the closed form for n = d+1, so both are
+        # checked against the first non-positive coefficient of the series
         rng = SplitMix64(8)
         for _ in range(60):
             d = 1 + rng.next_below(4)
             dt = DegreeType(d, tuple(1 + rng.next_below(20) for _ in range(d + 1)))
-            assert closed_form_parameter(dt) == smallest_zero(dt)
+            series = froeberg_series(dt, dt.total - dt.d)
+            first = next(m for m, c in enumerate(series.coeffs) if c <= 0)
+            assert closed_form_parameter(dt) == smallest_zero(dt) == first
+
+    def test_parameter_without_evaluating_f(self, monkeypatch):
+        # a scan would evaluate F at 9 * 10^6 degrees
+        def refuse(dt, m):
+            raise AssertionError("froeberg_value called")
+
+        monkeypatch.setattr(froeberg, "froeberg_value", refuse)
+        dt = DegreeType.constant(2, 3, 3_000_000)
+        assert smallest_zero(dt) == 8_999_998
+        assert bound_report(dt).m0 == 8_999_998
 
     def test_almost_parameter(self):
         assert closed_form_almost_parameter(DegreeType.constant(2, 4, 10)) == 19
