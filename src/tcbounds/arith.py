@@ -153,10 +153,7 @@ def _check_exact(p: int, block: int, rows: int, cols: int) -> tuple[bool, bool]:
     """
     split = block * (p - 1) ** 2 >= 2**53
     if split and block * (p - 1) * (2**16 - 1) >= 2**53:
-        raise PreconditionError(
-            f"float64 matmul over {block} terms is not exact mod {p}: "
-            f"{block} * (p-1) * (2^16-1) >= 2^53"
-        )
+        raise PreconditionError(f"float64 matmul over {block} terms mod {p} may reach 2^53")
     eager = p + min(rows, cols) * (p - 1) ** 2 >= 2**63
     return split, eager
 
@@ -226,6 +223,7 @@ def _apply_pivots(
         part = below[s : s + _CHUNK_ROWS]
         prod = _product(mult_f[s : s + _CHUNK_ROWS], top_f, p, split)
         np.subtract(part, prod, out=part, dtype=np.int64, casting="unsafe")
+        del prod  # one chunk's product alive at a time
         if eager:
             part %= p
 
