@@ -139,7 +139,9 @@ def smallest_zero(dt: DegreeType) -> int:
     The generating polynomial has degree total - d - 1 when n >= d+1, so the
     scan is guaranteed to terminate by total - d.  For n = d+1 it is
     prod(1 + t + ... + t^(a_i - 1)), positive up to that degree, so m0 is
-    total - d without a scan.
+    total - d without a scan.  For constant degree a with n = d+2, d = 1 or
+    d = 2, F is linear or quadratic on [a, 2a) and m0 < 2a, so the closed
+    forms are exact there too.
     """
     if dt.n < dt.d + 1:
         raise PreconditionError(
@@ -147,6 +149,13 @@ def smallest_zero(dt: DegreeType) -> int:
         )
     if dt.n == dt.d + 1:
         return closed_form_parameter(dt)
+    if dt.is_constant:
+        if dt.n == dt.d + 2:
+            return closed_form_almost_parameter(dt)
+        if dt.d == 1:
+            return closed_form_dim1(dt.n, dt.degrees[0])
+        if dt.d == 2:
+            return closed_form_dim2(dt.n, dt.degrees[0])
     limit = dt.total - dt.d
     # F(m) = C(d+m, d) > 0 below the smallest degree
     m = min(dt.degrees)

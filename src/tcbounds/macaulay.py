@@ -32,6 +32,7 @@ __all__ = [
     "form_vector",
     "macaulay_matrix",
     "product_row_matrix",
+    "product_support",
     "hilbert_value",
     "hilbert_table",
     "first_inclusion_degree",
@@ -242,35 +243,36 @@ def form_vector(form: Form, p: int) -> np.ndarray:
     return vec
 
 
-def _fill_product_columns(
-    out: np.ndarray, col0: int, form: Form, v: int, m: int
-) -> int:
-    """Write the columns {mu * form : deg mu = m - deg form} into out
-    starting at col0; returns the number of columns written."""
-    shift_deg = m - form.degree
+def product_support(form: Form, m: int) -> np.ndarray:
+    """Where the products {mu * form : deg mu = m - deg form} sit among the
+    degree-m monomials: entry [s, j] is the canonical index of the s-th
+    shift mu (in canonical order) times the j-th term of form.  Multiplying
+    by mu keeps the canonical order, so every row increases."""
+    v, shift_deg = form.v, m - form.degree
     if shift_deg < 0:
-        return 0
-    ncols = monomial_count(v, shift_deg)
-    if form.is_zero:
-        return ncols
+        return np.zeros((0, len(form.terms)), dtype=np.int64)
     bits = _pack_bits(v, m)
     if bits is not None:
-        target = _codes(v, m, bits)
-        shifts = _codes(v, shift_deg, bits)
         term_codes = _pack([exps for exps, _ in form.terms], v, bits)
-        coeffs = np.array([c for _, c in form.terms], dtype=np.int64)
-        prod = shifts[:, None] + term_codes[None, :]
-        rows = np.searchsorted(target, prod)
-        cols = np.broadcast_to(
-            np.arange(col0, col0 + ncols, dtype=np.int64)[:, None], prod.shape
-        )
-        out[rows.ravel(), cols.ravel()] = np.broadcast_to(coeffs[None, :], prod.shape).ravel()
-    else:
-        index = _index_of(v, m)
-        for j, mu in enumerate(_exponent_tuples(v, shift_deg)):
-            for exps, coeff in form.terms:
-                row = index[tuple(a + b for a, b in zip(mu, exps))]
-                out[row, col0 + j] = coeff
+        prod = _codes(v, shift_deg, bits)[:, None] + term_codes[None, :]
+        return np.searchsorted(_codes(v, m, bits), prod)
+    index = _index_of(v, m)
+    return np.array(
+        [
+            [index[tuple(a + b for a, b in zip(mu, exps))] for exps, _ in form.terms]
+            for mu in _exponent_tuples(v, shift_deg)
+        ],
+        dtype=np.int64,
+    ).reshape(monomial_count(v, shift_deg), len(form.terms))
+
+
+def _fill_product_columns(out: np.ndarray, col0: int, form: Form, m: int) -> int:
+    """Write the columns {mu * form : deg mu = m - deg form} into out
+    starting at col0; returns the number of columns written."""
+    support = product_support(form, m)
+    ncols = support.shape[0]
+    coeffs = np.array([c for _, c in form.terms], dtype=np.int64)
+    out[support, np.arange(col0, col0 + ncols)[:, None]] = coeffs
     return ncols
 
 
@@ -287,7 +289,7 @@ def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
     out = np.zeros((nrows, ncols), dtype=np.int64)
     col0 = 0
     for f in system.forms:
-        col0 += _fill_product_columns(out, col0, f, system.v, m)
+        col0 += _fill_product_columns(out, col0, f, m)
     return out
 
 

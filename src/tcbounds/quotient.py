@@ -1,10 +1,18 @@
 """Membership tests in graded quotient rings R = P/J over a prime field.
 
-Everything happens inside one graded piece of the ambient polynomial ring:
-for graded ideals the degree-m part of I*R pulls back to (I + J)_m in P, so
-ideal membership, Frobenius-power membership f^q in I^[q], and tight-closure
-witness tests all reduce to exact rank computations on stacked product-row
-matrices.  No normal-form machinery is needed.
+Everything happens inside one graded piece: for graded ideals the degree-m
+part of I*R is the image of I_m in R_m = P_m / J_m, so ideal membership,
+Frobenius-power membership f^q in I^[q], and tight-closure witness tests
+all reduce to exact rank computations in R_m.
+
+The leading monomials of J's relations must be pairwise coprime.  J is then
+a Groebner basis by Buchberger's first criterion, the monomials that no
+leading monomial divides are a basis of R_m, and the normal form
+NF: P_m -> R_m follows by division, with no elimination (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
+section 3).  A membership test eliminates only NF of I's product rows, a
+(rows of I) x dim R_m matrix, and reports rank J_m plus its rank: the rank
+of (I + J)_m in P_m.
 """
 
 from __future__ import annotations
@@ -22,10 +30,9 @@ from .macaulay import (
     FormSystem,
     Monomial,
     form_product,
-    form_vector,
     monomial_count,
     monomials_of_degree,
-    product_row_matrix,
+    product_support,
     random_form_system,
 )
 
@@ -46,20 +53,25 @@ __all__ = [
     "verify_theorem_b",
 ]
 
-# Cap on one membership test's stacked matrix, in cells: (rows of J's
-# product matrix + rows of I's product matrix) x dim P_m.  A test peaks at
-# about 45 bytes per cell (measured at 3.0M and 15.7M cells), so 2^26 cells
-# peak near 3 GiB where 2^27 would near 6 GiB.  The largest test in the
-# suite, README and benchmark (Theorem B on the Fermat cubic, p = 5, q = 25)
-# is 5353 x 2926, 15.7M cells.
+# Cap on one membership test, in cells of its stacked shape: (rows of J's
+# product matrix + rows of I's product matrix) x dim P_m.  Neither matrix is
+# built; the shape bounds the work from above, since J's reduced echelon is
+# rank J_m x dim P_m and the eliminated residual (rows of I) x dim R_m.
+# Stacked eliminations peaked at about 45 bytes per cell (measured at 3.0M
+# and 15.7M cells), so 2^26 cells stayed near 3 GiB.  The largest test in
+# the suite, README and benchmark (Theorem B on the Fermat cubic, p = 5,
+# q = 25) has the stacked shape 5353 x 2926, 15.7M cells.
 _MAX_CELLS = 2**26
 
 
 class GradedQuotient:
-    """R = P/J for a homogeneous system of relations J (J may be empty).
+    """R = P/J for a homogeneous system of relations J (J may be empty)
+    whose leading monomials are pairwise coprime.
 
-    Row-reduced degree-m matrices of J are cached per degree; after
-    single-threaded warm-up the cache is read-only and safe to share.
+    The leading monomial of a relation is its first term, the largest in
+    the canonical (degrevlex) order.  Fully reduced degree-m matrices of J
+    are cached per degree; after single-threaded warm-up the cache is
+    read-only and safe to share.
     """
 
     def __init__(self, field: PrimeField, v: int, modulus: FormSystem | None = None):
@@ -71,9 +83,20 @@ class GradedQuotient:
             raise PreconditionError("modulus field does not match ring field")
         if modulus.v != v:
             raise PreconditionError("modulus variable count does not match ring")
+        leads: list[tuple[int, ...]] = []
         for f in modulus.forms:
             if f.degree < 1:
                 raise PreconditionError("modulus forms must have degree >= 1")
+            if f.is_zero:
+                raise PreconditionError("modulus forms must be nonzero")
+            lead = f.terms[0][0]
+            for other in leads:
+                if any(a and b for a, b in zip(lead, other)):
+                    raise PreconditionError(
+                        f"leading monomials {other} and {lead} of the modulus "
+                        "are not coprime"
+                    )
+            leads.append(lead)
         self.field = field
         self.v = v
         self.modulus = modulus
@@ -81,18 +104,101 @@ class GradedQuotient:
 
     @property
     def krull_dimension(self) -> int:
-        # the relations used here are regular sequences by construction
+        # pairwise coprime leading monomials (checked in __init__) are a
+        # regular sequence, so the relations are one too: P/J has the
+        # Hilbert series of P/in(J), a complete intersection
         return self.v - len(self.modulus.forms)
 
     def relation_echelon(self, m: int) -> Echelon:
+        """J_m's fully reduced echelon: one row e_mu - NF(mu) for each
+        monomial mu that a leading monomial divides, zero at every other
+        such mu."""
         if m < 0:
             raise PreconditionError(f"degree must be >= 0, got {m}")
         cached = self._relation_echelons.get(m)
         if cached is None:
             _check_cells(f"relation echelon in degree {m}", *_stacked_shape(self, (), m))
-            cached = fp_echelon(product_row_matrix(self.modulus, m), self.field)
+            cached = self._divide(m)
             self._relation_echelons[m] = cached
         return cached
+
+    def _divide(self, m: int) -> Echelon:
+        # mu = LM(f) * nu has NF(mu) = -lc^-1 * sum_t c_t NF(nu * t) over
+        # f's other terms t, monomials after mu in the canonical order.
+        # Each mu is divided by the first relation whose leading monomial
+        # divides it (any choice gives the same NF for a Groebner basis).
+        # The NF are computed level by level: level 0 is the basis, and a
+        # pivot's level exceeds that of every monomial it reduces to.
+        p, n = self.field.p, monomial_count(self.v, m)
+        pivot = np.zeros(n, dtype=bool)
+        work = []  # (relation, the mu it divides, their nu * t)
+        for f in self.modulus.forms:
+            support = product_support(f, m)
+            new = ~pivot[support[:, 0]]
+            pivot[support[new, 0]] = True
+            work.append((f, support[new, 0], support[new, 1:]))
+        level = np.zeros(n, dtype=np.int64)
+        changed = True
+        while changed:
+            changed = False
+            for _, mus, rest in work:
+                new_level = 1 + level[rest].max(axis=1, initial=0)
+                if (new_level != level[mus]).any():
+                    level[mus] = new_level
+                    changed = True
+        rank = int(pivot.sum())
+        nf = _NormalForm(pivot, np.zeros((rank, n - rank), dtype=np.int64), p)
+        for step in range(1, int(level.max(initial=0)) + 1):
+            for f, mus, rest in work:
+                now = level[mus] == step
+                if now.any():
+                    residue = nf.of(rest[now], [c for _, c in f.terms[1:]])
+                    scale = p - self.field.inv(f.terms[0][1])
+                    nf.table[nf.index[mus[now]]] = residue * scale % p
+        pivots = np.flatnonzero(pivot)
+        rows = np.zeros((rank, n), dtype=np.int64)
+        rows[np.arange(rank), pivots] = 1
+        rows[:, ~pivot] = -nf.table % p
+        return Echelon(p=p, rank=rank, pivot_columns=tuple(pivots.tolist()), rows=rows)
+
+
+class _NormalForm:
+    """NF: P_m -> R_m.  A pivot monomial of J_m's fully reduced echelon maps
+    to its row of `table` (minus the row's non-pivot part), any other
+    monomial to itself; the non-pivot monomials, in canonical order, are
+    the coordinates of R_m."""
+
+    def __init__(self, pivot: np.ndarray, table: np.ndarray, p: int):
+        self.pivot, self.table, self.p = pivot, table, p
+        self.index = np.empty(pivot.size, dtype=np.int64)  # row of table, or basis position
+        self.index[pivot] = np.arange(table.shape[0])
+        self.index[~pivot] = np.arange(table.shape[1])
+
+    @classmethod
+    def of_echelon(cls, ech: Echelon) -> "_NormalForm":
+        pivot = np.zeros(ech.rows.shape[1], dtype=bool)
+        pivot[list(ech.pivot_columns)] = True
+        return cls(pivot, -ech.rows[:, ~pivot] % ech.p, ech.p)
+
+    def of(self, support: np.ndarray, coeffs) -> np.ndarray:
+        """NF of sum_j coeffs[j] * (monomial support[s, j]) for each row s.
+        Reducing mod p after each term keeps every entry below
+        p + (p-1)^2 < 2^63 for p < 2^31."""
+        p = self.p
+        out = np.zeros((support.shape[0], self.table.shape[1]), dtype=np.int64)
+        for col, c in zip(support.T, coeffs):
+            c %= p
+            at, piv = self.index[col], self.pivot[col]
+            basis = np.flatnonzero(~piv)
+            out[basis, at[basis]] += c
+            reduced = np.flatnonzero(piv)
+            out[reduced] += c * self.table[at[reduced]]
+            out %= p
+        return out
+
+    def products(self, form: Form, m: int) -> np.ndarray:
+        """NF of every product mu * form of degree m, one row per mu."""
+        return self.of(product_support(form, m), [c for _, c in form.terms])
 
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
@@ -101,8 +207,8 @@ def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
 
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[Monomial]:
-    """Monomials whose classes form a basis of R_m (the non-pivot
-    coordinates of the reduced degree-m matrix of J)."""
+    """Monomials whose classes form a basis of R_m: those that no leading
+    monomial of J divides, the non-pivot coordinates of J_m's echelon."""
     pivots = set(ring.relation_echelon(m).pivot_columns)
     return [
         mono
@@ -139,9 +245,10 @@ def _check_cells(what: str, rows: int, cols: int) -> None:
 class MembershipOracle:
     """Membership in (I^[q] + J)_m inside P_m, i.e. in I^[q]*R at degree m.
 
-    The stacked matrix (J's cached reduced rows over the product rows of
-    I^[q]) is sized from binomials when the oracle is made and refused over
-    the cap; it is eliminated once, on the first query."""
+    The test is sized from binomials when the oracle is made and refused
+    over the cap.  On the first query the residual NF(product rows of
+    I^[q]), of shape (rows of I^[q]) x dim R_m, is eliminated once; an
+    element g is a member iff NF(g) lies in the residual's row space."""
 
     def __init__(self, ring: GradedQuotient, ideal: FormSystem, m: int, q: int = 1):
         if ideal.field != ring.field:
@@ -153,23 +260,31 @@ class MembershipOracle:
         _check_cells(f"membership test in degree {m}", *shape)
 
     @cached_property
+    def normal_form(self) -> _NormalForm:
+        return _NormalForm.of_echelon(self.ring.relation_echelon(self.degree))
+
+    @cached_property
     def echelon(self) -> Echelon:
-        rows_i = product_row_matrix(self.ideal, self.degree)
-        rows_j = self.ring.relation_echelon(self.degree).rows
-        return fp_echelon(np.vstack([rows_j, rows_i]), self.ring.field)
+        nf = self.normal_form
+        residual = [np.zeros((0, nf.table.shape[1]), dtype=np.int64)]
+        residual += [nf.products(g, self.degree) for g in self.ideal.forms]
+        return fp_echelon(np.concatenate(residual), self.ring.field)
 
     def verdicts(self, elements) -> list[MembershipVerdict]:
         """One verdict per element, each a degree-m Form or Monomial."""
-        ech = self.echelon
+        nf, ech = self.normal_form, self.echelon
+        rank = nf.table.shape[0] + ech.rank  # rank J_m + rank of the residual
         out = []
         for g in elements:
             if isinstance(g, Monomial):
                 g = Form(v=g.v, degree=g.degree, terms=((g.exponents, 1),))
             if g.v != self.ring.v:
                 raise PreconditionError("form variable count does not match ring")
-            contained = ech.contains(form_vector(g, ech.p))
-            rank_with = ech.rank if contained else ech.rank + 1
-            out.append(MembershipVerdict(contained, self.degree, ech.rank, rank_with))
+            if g.degree != self.degree:
+                raise PreconditionError(f"form of degree {g.degree} in a degree-{self.degree} test")
+            contained = ech.contains(nf.products(g, self.degree)[0])
+            rank_with = rank if contained else rank + 1
+            out.append(MembershipVerdict(contained, self.degree, rank, rank_with))
         return out
 
 

@@ -367,7 +367,7 @@ class TestVerifyTheorems:
         def refuse(*args, **kwargs):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(quotient, "product_row_matrix", refuse)
+        monkeypatch.setattr(quotient, "product_support", refuse)
         code, out, err = run_cli(
             capsys, "verify", "theorem-c", "--fixture", "fermat-cubic",
             "--n", "3", "--a", "200",

@@ -34,6 +34,21 @@ def value_oracle(d: int, degrees: tuple[int, ...], m: int) -> int:
     return total
 
 
+def scan_zero(dt: DegreeType) -> int:
+    """m0 by the linear scan of F that smallest_zero skips for the closed
+    forms."""
+    m = min(dt.degrees)
+    while froeberg_value(dt, m) > 0:
+        m += 1
+    return m
+
+
+def series_zero(dt: DegreeType) -> int:
+    """m0 as the first non-positive coefficient of the series."""
+    series = froeberg_series(dt, dt.total - dt.d)
+    return next(m for m, c in enumerate(series.coeffs) if c <= 0)
+
+
 class TestDegreeType:
     def test_sorted_descending(self):
         dt = DegreeType(2, (1, 3, 2))
@@ -187,19 +202,26 @@ class TestClosedForms:
         for _ in range(60):
             d = 1 + rng.next_below(4)
             dt = DegreeType(d, tuple(1 + rng.next_below(20) for _ in range(d + 1)))
-            series = froeberg_series(dt, dt.total - dt.d)
-            first = next(m for m, c in enumerate(series.coeffs) if c <= 0)
-            assert closed_form_parameter(dt) == smallest_zero(dt) == first
+            assert closed_form_parameter(dt) == smallest_zero(dt) == series_zero(dt)
 
     def test_parameter_without_evaluating_f(self, monkeypatch):
-        # a scan would evaluate F at 9 * 10^6 degrees
+        # a scan would evaluate F at millions of degrees: the parameter,
+        # almost-parameter, d = 1 and d = 2 cases each take a closed form
         def refuse(dt, m):
             raise AssertionError("froeberg_value called")
 
         monkeypatch.setattr(froeberg, "froeberg_value", refuse)
-        dt = DegreeType.constant(2, 3, 3_000_000)
-        assert smallest_zero(dt) == 8_999_998
-        assert bound_report(dt).m0 == 8_999_998
+        a = 3_000_000
+        cases = (
+            ((2, 3), 8_999_998),
+            ((2, 4), 5_999_999),
+            ((1, 5), 3_749_999),
+            ((2, 6), 5_069_693),
+        )
+        for (d, n), m0 in cases:
+            dt = DegreeType.constant(d, n, a)
+            assert smallest_zero(dt) == m0
+            assert bound_report(dt).m0 == m0
 
     def test_almost_parameter(self):
         assert closed_form_almost_parameter(DegreeType.constant(2, 4, 10)) == 19
@@ -216,7 +238,9 @@ class TestClosedForms:
         for d in range(1, 7):
             for a in range(1, 51):
                 dt = DegreeType.constant(d, d + 2, a)
-                assert closed_form_almost_parameter(dt) == smallest_zero(dt)
+                assert closed_form_almost_parameter(dt) == smallest_zero(dt) == scan_zero(dt)
+                if a <= 12:
+                    assert smallest_zero(dt) == series_zero(dt)
 
     def test_dim1_values(self):
         assert closed_form_dim1(3, 5) == 7
@@ -226,9 +250,10 @@ class TestClosedForms:
     def test_dim1_matches_scan(self):
         for n in range(2, 31):
             for a in range(1, 51):
-                assert closed_form_dim1(n, a) == smallest_zero(
-                    DegreeType.constant(1, n, a)
-                )
+                dt = DegreeType.constant(1, n, a)
+                assert closed_form_dim1(n, a) == smallest_zero(dt) == scan_zero(dt)
+                if a <= 12:
+                    assert smallest_zero(dt) == series_zero(dt)
 
     def test_dim2_values(self):
         assert closed_form_dim2(3, 10) == 28
@@ -238,9 +263,10 @@ class TestClosedForms:
     def test_dim2_matches_scan(self):
         for n in range(3, 31):
             for a in range(1, 51):
-                assert closed_form_dim2(n, a) == smallest_zero(
-                    DegreeType.constant(2, n, a)
-                )
+                dt = DegreeType.constant(2, n, a)
+                assert closed_form_dim2(n, a) == smallest_zero(dt) == scan_zero(dt)
+                if a <= 12:
+                    assert smallest_zero(dt) == series_zero(dt)
 
     def test_dim_shape_checks(self):
         with pytest.raises(PreconditionError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcbounds import quotient
-from tcbounds.arith import PreconditionError, PrimeField, SplitMix64, fp_rank
+from tcbounds.arith import PreconditionError, PrimeField, SplitMix64, fp_echelon, fp_rank
 from tcbounds.froeberg import DegreeType
 from tcbounds.fixtures import (
     DEFAULT_PRIME,
@@ -16,6 +16,7 @@ from tcbounds.macaulay import (
     first_inclusion_degree,
     form_product,
     form_vector,
+    monomials_of_degree,
     product_row_matrix,
     random_form,
     random_form_system,
@@ -456,6 +457,7 @@ _DIFFERENTIAL_RINGS = (
     ("fermat-cubic", 7, None),
     ("fermat-cubic-p2", None, None),
     ("poly-ring", 3, 2),
+    ("fermat-cubic", 2**31 - 1, None),
 )
 
 
@@ -467,13 +469,19 @@ class TestAgainstDirectRanks:
         ring = make_fixture(name, p=p, d=d).ring
         rng = SplitMix64(21)
         ideals = (
+            variables_ideal(ring, 1),
             variables_ideal(ring, 2),
+            random_form_system(ring.v, (2,), ring.field, rng),
             random_form_system(ring.v, (2, 2), ring.field, rng),
         )
         forms = [monomial_form(ring.v, (0,) * (ring.v - 1) + (2,))]
         forms += [random_form(ring.v, m, ring.field, rng) for m in (2, 3, 4)]
         for ideal in ideals:
-            for f in forms:
+            # a member of degree 12, where one entry of a normal form sums
+            # several large multiples of J's reduced rows
+            g = ideal.forms[0]
+            h = random_form(ring.v, 12 - g.degree, ring.field, rng)
+            for f in forms + [form_product(g, h, ring.field.p)]:
                 _assert_true_ranks(ring, ideal, f, ideal_membership(ring, ideal, f))
 
     @pytest.mark.parametrize("name,p,d", _DIFFERENTIAL_RINGS)
@@ -487,7 +495,8 @@ class TestAgainstDirectRanks:
             monomial_form(ring.v, (0,) * (ring.v - 1) + (1,)),
             monomial_form(ring.v, (1,) + (0,) * (ring.v - 2) + (1,)),
         )
-        q_list = (1, prime) if prime > 2 else (1, 2, 4)
+        # at 2^31 - 1 the test for q = p would be far over the size cap
+        q_list = (1, 2, 4) if prime == 2 else (1, prime) if prime < 2**16 else (1,)
         report = tight_witness_scan(ring, ideal, f, witnesses=witnesses, q_list=q_list)
         for u, row in zip(witnesses, report.verdicts):
             for q, verdict in zip(q_list, row):
@@ -516,6 +525,92 @@ class TestAgainstDirectRanks:
             assert dict(report.elements)[(0, 0, 3)] == 5
 
 
+def _two_relation_ring(p):
+    # dense relations led by 2 * x^2 ... and by y^3: coprime leading
+    # monomials, leading coefficients other than 1, and two relations
+    field = PrimeField(p)
+    rng = SplitMix64(5)
+    forms = []
+    for lead in ((2, 0, 0), (0, 3, 0)):
+        monos = [mono.exponents for mono in monomials_of_degree(3, sum(lead))]
+        later = monos[monos.index(lead) :]
+        forms.append(Form.make(3, sum(lead), {e: 1 + rng.next_below(p - 1) for e in later}))
+    return GradedQuotient(field, 3, FormSystem(field=field, v=3, forms=tuple(forms)))
+
+
+def _divides(lead, exps):
+    return all(e >= a for e, a in zip(exps, lead))
+
+
+class TestRingContract:
+    """The relations' leading monomials are pairwise coprime, so J is a
+    Groebner basis and R_m is computed by division."""
+
+    def test_non_coprime_leading_monomials_refused(self):
+        field = PrimeField(7)
+        forms = (monomial_form(3, (2, 0, 0)), monomial_form(3, (1, 1, 0)))
+        with pytest.raises(PreconditionError, match="not coprime"):
+            GradedQuotient(field, 3, FormSystem(field=field, v=3, forms=forms))
+
+    def test_zero_relation_refused(self):
+        field = PrimeField(7)
+        zero = FormSystem(field=field, v=3, forms=(Form.make(3, 2, {}),))
+        with pytest.raises(PreconditionError, match="must be nonzero"):
+            GradedQuotient(field, 3, zero)
+
+    @pytest.mark.parametrize("name", ["fermat-cubic", "fermat-quartic"])
+    @pytest.mark.parametrize("p", [5, 7, 32003])
+    def test_basis_is_the_undivided_monomials(self, name, p):
+        ring = make_fixture(name, p=p).ring
+        leads = [f.terms[0][0] for f in ring.modulus.forms]
+        for m in (0, 2, 3, 4, 10, 30):
+            expected = [
+                mono
+                for mono in monomials_of_degree(3, m)
+                if not any(_divides(lead, mono.exponents) for lead in leads)
+            ]
+            assert ring_basis(ring, m) == expected
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            make_fixture("fermat-cubic", p=5).ring,
+            make_fixture("fermat-quartic", p=7).ring,
+            make_fixture("fermat-cubic", p=2**31 - 1).ring,
+            _two_relation_ring(7),
+            _two_relation_ring(2**31 - 1),
+        ],
+    )
+    def test_relation_echelon_is_fully_reduced(self, ring):
+        p = ring.field.p
+        for m in range(13):
+            ech = ring.relation_echelon(m)
+            pivots = list(ech.pivot_columns)
+            # zeros above and below every pivot
+            assert np.array_equal(ech.rows[:, pivots], np.eye(ech.rank, dtype=np.int64))
+            assert ((0 <= ech.rows) & (ech.rows < p)).all()
+            ref = fp_echelon(product_row_matrix(ring.modulus, m), p)
+            assert (ech.rank, ech.pivot_columns) == (ref.rank, ref.pivot_columns)
+            # same row space: stacking adds no rank
+            assert fp_rank(np.vstack([ech.rows, ref.rows]), p) == ech.rank
+
+    @pytest.mark.parametrize("p", [7, 2**31 - 1])
+    def test_two_relations_against_direct_ranks(self, p):
+        ring = _two_relation_ring(p)
+        assert ring.krull_dimension == 1
+        rng = SplitMix64(31)
+        ideals = (
+            variables_ideal(ring, 1),
+            random_form_system(3, (2,), ring.field, rng),
+            random_form_system(3, (1, 3), ring.field, rng),
+        )
+        forms = [monomial_form(3, (0, 0, m)) for m in (2, 5)]
+        forms += [random_form(3, m, ring.field, rng) for m in (2, 3, 4, 6)]
+        for ideal in ideals:
+            for f in forms:
+                _assert_true_ranks(ring, ideal, f, ideal_membership(ring, ideal, f))
+
+
 class TestSizeCap:
     """Every membership test is sized from binomials and refused over the
     cap before any matrix is built."""
@@ -525,7 +620,7 @@ class TestSizeCap:
         def refuse(*args, **kwargs):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(quotient, "product_row_matrix", refuse)
+        monkeypatch.setattr(quotient, "product_support", refuse)
         monkeypatch.setattr(quotient, "fp_echelon", refuse)
 
     def test_default_q_list_for_the_scan(self, cubic5, no_matrices):
