@@ -29,7 +29,6 @@ __all__ = [
     "random_form",
     "random_form_system",
     "form_product",
-    "form_vector",
     "macaulay_matrix",
     "product_row_matrix",
     "product_support",
@@ -232,15 +231,6 @@ def form_product(a: Form, b: Form, p: int) -> Form:
             key = tuple(x + y for x, y in zip(ea, eb))
             coeffs[key] = (coeffs.get(key, 0) + ca * cb) % p
     return Form.make(a.v, a.degree + b.degree, coeffs)
-
-
-def form_vector(form: Form, p: int) -> np.ndarray:
-    """Coefficient vector of a form over the canonical degree basis."""
-    vec = np.zeros(monomial_count(form.v, form.degree), dtype=np.int64)
-    index = _index_of(form.v, form.degree)
-    for exps, coeff in form.terms:
-        vec[index[exps]] = coeff % p
-    return vec
 
 
 def product_support(form: Form, m: int) -> np.ndarray:

@@ -8,7 +8,6 @@ from tcbounds.macaulay import (
     FormSystem,
     Monomial,
     first_inclusion_degree,
-    form_vector,
     froeberg_check,
     hilbert_table,
     hilbert_value,
@@ -16,6 +15,7 @@ from tcbounds.macaulay import (
     monomial_count,
     monomials_of_degree,
     product_row_matrix,
+    product_support,
     random_form,
     random_form_system,
     read_form_system,
@@ -101,9 +101,25 @@ class TestForm:
         with pytest.raises(PreconditionError):
             Form.make(2, 2, {(3, 0): 1})
 
-    def test_form_vector(self):
+    def test_product_support(self):
+        # x^2 + 2xy: its products by x, y in degree 3 over x^3, x^2y, xy^2, y^3
         f = Form.make(2, 2, {(2, 0): 1, (1, 1): 2})
-        assert form_vector(f, 7).tolist() == [1, 2, 0]
+        assert product_support(f, 2).tolist() == [[0, 1]]
+        assert product_support(f, 3).tolist() == [[0, 1], [1, 2]]
+        assert product_support(f, 1).shape == (0, 2)
+
+    @pytest.mark.parametrize("v,m", [(3, 5), (64, 2)])
+    def test_product_support_by_exponents(self, v, m):
+        # v = 64 leaves no bits for packed codes, so the dict path runs
+        rng = SplitMix64(3)
+        f = random_form(v, 1, 7, rng)
+        index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, m))}
+        shifts = monomials_of_degree(v, m - 1)
+        expected = [
+            [index[tuple(a + b for a, b in zip(mu.exponents, exps))] for exps, _ in f.terms]
+            for mu in shifts
+        ]
+        assert product_support(f, m).tolist() == expected
 
     def test_system_rejects_mixed_vars(self):
         f = Form.make(2, 1, {(1, 0): 1})
