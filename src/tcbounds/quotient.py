@@ -56,7 +56,8 @@ __all__ = [
 # Cap on one membership test, in cells of its stacked shape: (rows of J's
 # product matrix + rows of I's product matrix) x dim P_m.  Neither matrix is
 # built; the shape bounds the work from above, since J's reduced echelon is
-# rank J_m x dim P_m and the eliminated residual (rows of I) x dim R_m.
+# kept as a rank J_m x dim R_m table and the eliminated residual is
+# (rows of I) x dim R_m.
 # Stacked eliminations peaked at about 45 bytes per cell (measured at 3.0M
 # and 15.7M cells), so 2^26 cells stayed near 3 GiB.  The largest test in
 # the suite, README and benchmark (Theorem B on the Fermat cubic, p = 5,
@@ -69,8 +70,8 @@ class GradedQuotient:
     whose leading monomials are pairwise coprime.
 
     The leading monomial of a relation is its first term, the largest in
-    the canonical (degrevlex) order.  Fully reduced degree-m matrices of J
-    are cached per degree; after single-threaded warm-up the cache is
+    the canonical (degrevlex) order.  J's fully reduced echelons (normal
+    forms) are cached per degree; after single-threaded warm-up the cache is
     read-only and safe to share.
     """
 
@@ -100,7 +101,7 @@ class GradedQuotient:
         self.field = field
         self.v = v
         self.modulus = modulus
-        self._relation_echelons: dict[int, Echelon] = {}
+        self._relation_echelons: dict[int, _NormalForm] = {}
 
     @property
     def krull_dimension(self) -> int:
@@ -109,10 +110,11 @@ class GradedQuotient:
         # Hilbert series of P/in(J), a complete intersection
         return self.v - len(self.modulus.forms)
 
-    def relation_echelon(self, m: int) -> Echelon:
-        """J_m's fully reduced echelon: one row e_mu - NF(mu) for each
-        monomial mu that a leading monomial divides, zero at every other
-        such mu."""
+    def relation_echelon(self, m: int) -> _NormalForm:
+        """J_m's fully reduced echelon, kept as the normal form it defines:
+        `pivot` marks its pivot columns, the monomials mu that a leading
+        monomial divides, and its row for mu is e_mu - NF(mu), with NF(mu)
+        a row of `table`."""
         if m < 0:
             raise PreconditionError(f"degree must be >= 0, got {m}")
         cached = self._relation_echelons.get(m)
@@ -122,13 +124,14 @@ class GradedQuotient:
             self._relation_echelons[m] = cached
         return cached
 
-    def _divide(self, m: int) -> Echelon:
+    def _divide(self, m: int) -> _NormalForm:
         # mu = LM(f) * nu has NF(mu) = -lc^-1 * sum_t c_t NF(nu * t) over
-        # f's other terms t, monomials after mu in the canonical order.
-        # Each mu is divided by the first relation whose leading monomial
-        # divides it (any choice gives the same NF for a Groebner basis).
-        # The NF are computed level by level: level 0 is the basis, and a
-        # pivot's level exceeds that of every monomial it reduces to.
+        # f's other terms t.  Each mu is divided by the first relation whose
+        # leading monomial divides it (any choice gives the same NF for a
+        # Groebner basis).  Each pass computes NF of the pivots not yet done
+        # whose nu * t are all done.  Every nu * t comes after mu in the
+        # canonical order, so the last pivot not yet done always qualifies
+        # and each pass makes progress.
         p, n = self.field.p, monomial_count(self.v, m)
         pivot = np.zeros(n, dtype=bool)
         work = []  # (relation, the mu it divides, their nu * t)
@@ -137,48 +140,31 @@ class GradedQuotient:
             new = ~pivot[support[:, 0]]
             pivot[support[new, 0]] = True
             work.append((f, support[new, 0], support[new, 1:]))
-        level = np.zeros(n, dtype=np.int64)
-        changed = True
-        while changed:
-            changed = False
-            for _, mus, rest in work:
-                new_level = 1 + level[rest].max(axis=1, initial=0)
-                if (new_level != level[mus]).any():
-                    level[mus] = new_level
-                    changed = True
         rank = int(pivot.sum())
         nf = _NormalForm(pivot, np.zeros((rank, n - rank), dtype=np.int64), p)
-        for step in range(1, int(level.max(initial=0)) + 1):
+        done = ~pivot
+        while not done.all():
             for f, mus, rest in work:
-                now = level[mus] == step
+                now = ~done[mus] & done[rest].all(axis=1)
                 if now.any():
                     residue = nf.of(rest[now], [c for _, c in f.terms[1:]])
                     scale = p - self.field.inv(f.terms[0][1])
                     nf.table[nf.index[mus[now]]] = residue * scale % p
-        pivots = np.flatnonzero(pivot)
-        rows = np.zeros((rank, n), dtype=np.int64)
-        rows[np.arange(rank), pivots] = 1
-        rows[:, ~pivot] = -nf.table % p
-        return Echelon(p=p, rank=rank, pivot_columns=tuple(pivots.tolist()), rows=rows)
+                    done[mus[now]] = True
+        return nf
 
 
 class _NormalForm:
-    """NF: P_m -> R_m.  A pivot monomial of J_m's fully reduced echelon maps
-    to its row of `table` (minus the row's non-pivot part), any other
+    """NF: P_m -> R_m, the form in which J_m's fully reduced echelon is
+    kept.  The i-th pivot monomial maps to row i of `table`, any other
     monomial to itself; the non-pivot monomials, in canonical order, are
-    the coordinates of R_m."""
+    the coordinates of R_m, so `table` is rank J_m x dim R_m."""
 
     def __init__(self, pivot: np.ndarray, table: np.ndarray, p: int):
         self.pivot, self.table, self.p = pivot, table, p
         self.index = np.empty(pivot.size, dtype=np.int64)  # row of table, or basis position
         self.index[pivot] = np.arange(table.shape[0])
         self.index[~pivot] = np.arange(table.shape[1])
-
-    @classmethod
-    def of_echelon(cls, ech: Echelon) -> "_NormalForm":
-        pivot = np.zeros(ech.rows.shape[1], dtype=bool)
-        pivot[list(ech.pivot_columns)] = True
-        return cls(pivot, -ech.rows[:, ~pivot] % ech.p, ech.p)
 
     def of(self, support: np.ndarray, coeffs) -> np.ndarray:
         """NF of sum_j coeffs[j] * (monomial support[s, j]) for each row s.
@@ -203,18 +189,14 @@ class _NormalForm:
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
     """dim_k R_m = dim P_m - rank(J at m)."""
-    return monomial_count(ring.v, m) - ring.relation_echelon(m).rank
+    return ring.relation_echelon(m).table.shape[1]
 
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[Monomial]:
     """Monomials whose classes form a basis of R_m: those that no leading
     monomial of J divides, the non-pivot coordinates of J_m's echelon."""
-    pivots = set(ring.relation_echelon(m).pivot_columns)
-    return [
-        mono
-        for i, mono in enumerate(monomials_of_degree(ring.v, m))
-        if i not in pivots
-    ]
+    pivot = ring.relation_echelon(m).pivot
+    return [mono for mono, piv in zip(monomials_of_degree(ring.v, m), pivot) if not piv]
 
 
 @dataclass(frozen=True)
@@ -260,19 +242,15 @@ class MembershipOracle:
         _check_cells(f"membership test in degree {m}", *shape)
 
     @cached_property
-    def normal_form(self) -> _NormalForm:
-        return _NormalForm.of_echelon(self.ring.relation_echelon(self.degree))
-
-    @cached_property
     def echelon(self) -> Echelon:
-        nf = self.normal_form
+        nf = self.ring.relation_echelon(self.degree)
         residual = [np.zeros((0, nf.table.shape[1]), dtype=np.int64)]
         residual += [nf.products(g, self.degree) for g in self.ideal.forms]
         return fp_echelon(np.concatenate(residual), self.ring.field)
 
     def verdicts(self, elements) -> list[MembershipVerdict]:
         """One verdict per element, each a degree-m Form or Monomial."""
-        nf, ech = self.normal_form, self.echelon
+        nf, ech = self.ring.relation_echelon(self.degree), self.echelon
         rank = nf.table.shape[0] + ech.rank  # rank J_m + rank of the residual
         out = []
         for g in elements:

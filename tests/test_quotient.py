@@ -590,17 +590,22 @@ class TestRingContract:
         ],
     )
     def test_relation_echelon_is_fully_reduced(self, ring):
+        # m = 31 divides through 10 levels on the cubic, 7 on the quartic
         p = ring.field.p
-        for m in range(13):
-            ech = ring.relation_echelon(m)
-            pivots = list(ech.pivot_columns)
-            # zeros above and below every pivot
-            assert np.array_equal(ech.rows[:, pivots], np.eye(ech.rank, dtype=np.int64))
-            assert ((0 <= ech.rows) & (ech.rows < p)).all()
+        for m in (*range(13), 20, 31):
+            nf = ring.relation_echelon(m)
+            assert ((0 <= nf.table) & (nf.table < p)).all()
+            rank, dim = nf.table.shape
+            assert ring_dimension_at(ring, m) == len(ring_basis(ring, m)) == dim
+            # rows e_mu - NF(mu): zeros above and below every pivot
+            pivots = np.flatnonzero(nf.pivot)
+            rows = np.zeros((rank, rank + dim), dtype=np.int64)
+            rows[np.arange(rank), pivots] = 1
+            rows[:, ~nf.pivot] = -nf.table % p
             ref = fp_echelon(product_row_matrix(ring.modulus, m), p)
-            assert (ech.rank, ech.pivot_columns) == (ref.rank, ref.pivot_columns)
+            assert (rank, tuple(pivots.tolist())) == (ref.rank, ref.pivot_columns)
             # same row space: stacking adds no rank
-            assert fp_rank(np.vstack([ech.rows, ref.rows]), p) == ech.rank
+            assert fp_rank(np.vstack([rows, ref.rows]), p) == rank
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
     def test_two_relations_against_direct_ranks(self, p):
