@@ -63,9 +63,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise PreconditionError(f"modulus {self.p} is not prime")
 
-    def normalize(self, x: int) -> int:
-        return x % self.p
-
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
@@ -91,10 +88,6 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise PreconditionError("series needs at least the degree-0 coefficient")
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.coeffs) - 1
 
     def __getitem__(self, m: int) -> int:
         return self.coeffs[m]

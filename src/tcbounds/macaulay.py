@@ -256,16 +256,6 @@ def product_support(form: Form, m: int) -> np.ndarray:
     ).reshape(monomial_count(v, shift_deg), len(form.terms))
 
 
-def _fill_product_columns(out: np.ndarray, col0: int, form: Form, m: int) -> int:
-    """Write the columns {mu * form : deg mu = m - deg form} into out
-    starting at col0; returns the number of columns written."""
-    support = product_support(form, m)
-    ncols = support.shape[0]
-    coeffs = np.array([c for _, c in form.terms], dtype=np.int64)
-    out[support, np.arange(col0, col0 + ncols)[:, None]] = coeffs
-    return ncols
-
-
 def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
     """Degree-m multiplication matrix: rows are the degree-m monomials in
     canonical order, columns the products (generator-major, shifts in
@@ -279,7 +269,10 @@ def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
     out = np.zeros((nrows, ncols), dtype=np.int64)
     col0 = 0
     for f in system.forms:
-        col0 += _fill_product_columns(out, col0, f, m)
+        support = product_support(f, m)
+        cols = np.arange(col0, col0 + support.shape[0])
+        out[support, cols[:, None]] = [c for _, c in f.terms]
+        col0 += support.shape[0]
     return out
 
 
@@ -468,6 +461,8 @@ def read_form_system(text: str) -> FormSystem:
         v = int(fields["v"])
     except (ValueError, KeyError) as exc:
         raise PreconditionError(f"malformed header {lines[0]!r}") from exc
+    if v < 1:
+        raise PreconditionError(f"need at least one variable, got v={v}")
     fld = PrimeField(p)
     forms = []
     for line in lines[1:]:

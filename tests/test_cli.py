@@ -300,6 +300,19 @@ class TestVerifyHilbert:
             assert (code, out) == (2, ""), flag
             assert err.startswith("usage error: pass either --ideal-file or "), flag
 
+    @pytest.mark.parametrize("v", [0, -1])
+    @pytest.mark.parametrize(
+        "command",
+        [["hilbert"], ["theorem-b", "--fixture", "fermat-cubic", "--p", "5"]],
+    )
+    def test_ideal_file_without_variables_refused(self, capsys, tmp_path, command, v):
+        path = tmp_path / "novars.txt"
+        path.write_text(f"p=7 v={v}\n2; :1\n")
+        code, out, err = run_cli(capsys, "verify", *command, "--ideal-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: need at least one variable, got v={v}\n"
+        assert "Traceback" not in err
+
 
 class TestVerifyTheorems:
     def test_theorem_c_fermat_cubic(self, capsys):
