@@ -1,10 +1,11 @@
 """Exact integer, binomial, modular, and truncated-power-series arithmetic.
 
 Integers are Python ints throughout (arbitrary precision, never wrapped).
-Matrix ranks over a prime field use one hand-written Gaussian elimination
-on int64 numpy arrays with delayed modular reduction, exact for every
-p < 2^31: _check_exact derives from p, the panel width and the shape what
-keeps its float64 and int64 intermediates exact.
+Matrix ranks over a prime field use one hand-written Gaussian elimination,
+in place on an int64 copy stored by columns, with delayed modular
+reduction, exact for every p < 2^31: _check_exact derives from p, the
+panel width and the shape what keeps its float64 and int64 intermediates
+exact.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-# _eliminate_blocked works on panels of _BLOCK columns, sub-panels of
-# _SUB_BLOCK columns, and updates the rows below a panel _CHUNK_ROWS at a
-# time.
+# _eliminate_blocked works on the column store in panels of _BLOCK
+# columns and sub-panels of _SUB_BLOCK columns, and updates the columns
+# right of a panel _CHUNK_ROWS at a time.
 _BLOCK = 64
 _SUB_BLOCK = 16
 _CHUNK_ROWS = 256
@@ -201,123 +202,109 @@ def _apply_pivots(
 ) -> None:
     """Carry t pivots into columns that their elimination did not touch.
 
-    top (t rows: the pivot rows in those columns) becomes ops @ top mod p,
-    its final value; then below -= mult @ top, where mult (rows of below x
-    t) holds the reduced multipliers, and below is reduced mod p at once
-    when eager.  Both are matmuls of operands in [0, p) over t <= block
-    terms, exact by _check_exact.  below is updated in chunks of rows, so
+    In the column store, top (w x t: those columns on the t pivot rows)
+    becomes top @ ops.T mod p, its final value; then below (w x rows
+    below) -= top @ mult, where mult (t x rows below) holds the reduced
+    multipliers, and below is reduced mod p at once when eager.  Both are
+    matmuls of operands in [0, p) over t <= block terms, exact by
+    _check_exact.  below is updated in chunks of _CHUNK_ROWS columns, so
     no temporary of its full size is made.
     """
-    top_f = _right_operand(top % p, split)
-    top[...] = _product(ops.astype(np.float64), top_f, p, split).astype(np.int64) % p
-    top_f = _right_operand(top, split)
-    mult_f = mult.astype(np.float64)
+    ops_f = _right_operand(ops.T, split)
+    top[...] = _product((top % p).astype(np.float64), ops_f, p, split).astype(np.int64) % p
+    top_f = top.astype(np.float64)
+    mult_f = _right_operand(mult, split)
     for s in range(0, below.shape[0], _CHUNK_ROWS):
         part = below[s : s + _CHUNK_ROWS]
-        prod = _product(mult_f[s : s + _CHUNK_ROWS], top_f, p, split)
+        prod = _product(top_f[s : s + _CHUNK_ROWS], mult_f, p, split)
         np.subtract(part, prod, out=part, dtype=np.int64, casting="unsafe")
         del prod  # one chunk's product alive at a time
         if eager:
             part %= p
 
 
-def _eliminate_blocked(a: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
-    """Panel elimination with delayed reduction and blocked updates.
+def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
+    """Panel elimination with delayed reduction and blocked updates, in
+    place on the column store g (g[c] is column c of the matrix).
 
-    Each panel of `block` columns (below the pivot rows found so far) is
-    copied out transposed, so that its columns are contiguous.  It is
-    eliminated a sub-panel of _SUB_BLOCK columns at a time: rank-one
-    updates inside the sub-panel, then one _apply_pivots to the rest of
-    the panel.  Multipliers stay in the copy below their pivots, as in LU,
-    and are zeroed when the copy is written back.  One _apply_pivots then
-    makes the pivot rows' trailing parts final and clears the trailing
-    block below them.
+    Each panel of `block` columns is eliminated a sub-panel of _SUB_BLOCK
+    columns at a time, with rank-one updates inside the sub-panel.  One
+    carry step applies a sub-panel's pivots to the rest of its panel, and
+    a panel's pivots to the columns right of it: it makes the pivot rows
+    there final and clears the block below them.  Multipliers stay below
+    their pivots, as in LU, and are zeroed after the panel's carry.  On
+    return g[:, :rank].T are the echelon rows.
 
     Reduction mod p is delayed: an entry is reduced only where it is read,
     that is a column before its pivot search, a pivot row before it is
     scaled, and both operands of every float64 matmul.  Every other entry
     only accumulates: it starts in [0, p) and takes at most one
     contribution in [0, (p-1)^2] per pivot, subtracted.  The split and
-    eager facts of _check_exact, derived before `a` is touched, keep this
+    eager facts of _check_exact, derived before g is touched, keep this
     exact for every p < 2^31.  The pivot is the first nonzero entry of its
     column, so ranks, pivot columns and the pivot rows, all reduced into
     [0, p), are those of plain Gaussian elimination.
     """
-    rows, cols = a.shape
+    cols, rows = g.shape
     if rows == 0 or cols == 0:
         return 0, []
     split, eager = _check_exact(p, block, rows, cols)
     rank = 0
     pivots: list[int] = []
+
+    def carry(start: int, end: int, t0: int, t: int) -> None:
+        # pivots t0..t-1 of the current panel into columns start..end-1
+        if t > t0 and start < end:
+            mult = g[pivots[rank + t0 : rank + t], rank + t0 :]
+            ops = _panel_ops(mult[:, : t - t0], scales[t0:], p, eager)
+            top, below = g[start:end, rank + t0 : rank + t], g[start:end, rank + t :]
+            _apply_pivots(top, below, ops, mult[:, t - t0 :], p, split, eager)
+
     for panel_start in range(0, cols, block):
         if rank == rows:
             break
         panel_end = min(panel_start + block, cols)
-        width = panel_end - panel_start
-        pan = np.ascontiguousarray(a[rank:, panel_start:panel_end].T)
-        local: list[int] = []  # pivot columns within the panel
         scales: list[int] = []
         t = 0
-        for sub_start in range(0, width, _SUB_BLOCK):
-            sub_end = min(sub_start + _SUB_BLOCK, width)
+        for sub_start in range(panel_start, panel_end, _SUB_BLOCK):
+            sub_end = min(sub_start + _SUB_BLOCK, panel_end)
             t0 = t
             for c in range(sub_start, sub_end):
-                if rank + t == rows:
+                r = rank + t
+                if r == rows:
                     break
-                colv = pan[c, t:] % p
-                pan[c, t:] = colv
+                colv = g[c, r:] % p
+                g[c, r:] = colv
                 nz = np.flatnonzero(colv)
                 if nz.size == 0:
                     continue
-                i0 = t + int(nz[0])
-                if i0 != t:
+                i0 = r + int(nz[0])
+                if i0 != r:
                     # both rows are zero left of the panel
-                    pan[:, [t, i0]] = pan[:, [i0, t]]
-                    a[[rank + t, rank + i0], panel_end:] = a[[rank + i0, rank + t], panel_end:]
-                inv = pow(int(pan[c, t]), p - 2, p)
-                pan[c:sub_end, t] = pan[c:sub_end, t] % p * inv % p
-                rest = pan[c + 1 : sub_end]
-                rest[:, t + 1 :] -= rest[:, t, None] * pan[c, None, t + 1 :]
+                    g[panel_start:, [r, i0]] = g[panel_start:, [i0, r]]
+                inv = pow(int(g[c, r]), p - 2, p)
+                g[c:sub_end, r] = g[c:sub_end, r] % p * inv % p
+                rest = g[c + 1 : sub_end]
+                rest[:, r + 1 :] -= rest[:, r, None] * g[c, None, r + 1 :]
                 if eager:
-                    rest[:, t + 1 :] %= p
-                local.append(c)
+                    rest[:, r + 1 :] %= p
                 scales.append(inv)
-                pivots.append(panel_start + c)
+                pivots.append(c)
                 t += 1
-            if t > t0 and sub_end < width:
-                mult = pan[local[t0:], t0:]
-                _apply_pivots(
-                    pan[sub_end:, t0:t].T,
-                    pan[sub_end:, t:].T,
-                    _panel_ops(mult[:, : t - t0], scales[t0:], p, eager),
-                    mult[:, t - t0 :].T,
-                    p,
-                    split,
-                    eager,
-                )
-        mult = pan[local]
-        for j, c in enumerate(local):
-            pan[c, j + 1 :] = 0
-        a[rank:, panel_start:panel_end] = pan.T
-        if t and panel_end < cols:
-            _apply_pivots(
-                a[rank : rank + t, panel_end:],
-                a[rank + t :, panel_end:],
-                _panel_ops(mult[:, :t], scales, p, eager),
-                mult[:, t:].T,
-                p,
-                split,
-                eager,
-            )
+            carry(sub_end, panel_end, t0, t)
+        carry(panel_end, cols, 0, t)
+        for j, c in enumerate(pivots[rank:]):
+            g[c, rank + j + 1 :] = 0
         rank += t
     return rank, pivots
 
 
-def _to_matrix(matrix, p: int) -> np.ndarray:
+def _columns(matrix, p: int) -> np.ndarray:
+    """The column store of a matrix reduced mod p: row c is column c."""
     a = np.asarray(matrix, dtype=np.int64)
     if a.ndim != 2:
         raise PreconditionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return a % p
+    return np.remainder(a.T, p, order="C")
 
 
 def fp_rank(matrix, field: PrimeField | int) -> int:
@@ -327,8 +314,7 @@ def fp_rank(matrix, field: PrimeField | int) -> int:
     Deterministic: pivoting always takes the first nonzero entry.
     """
     fld = _as_field(field)
-    a = _to_matrix(matrix, fld.p)
-    rank, _ = _eliminate_blocked(a, fld.p)
+    rank, _ = _eliminate_blocked(_columns(matrix, fld.p), fld.p)
     return rank
 
 
@@ -367,6 +353,7 @@ def fp_echelon(matrix, field: PrimeField | int) -> Echelon:
     is all that membership tests need.
     """
     fld = _as_field(field)
-    a = _to_matrix(matrix, fld.p)
-    rank, pivots = _eliminate_blocked(a, fld.p)
-    return Echelon(p=fld.p, rank=rank, pivot_columns=tuple(pivots), rows=a[:rank].copy())
+    g = _columns(matrix, fld.p)
+    rank, pivots = _eliminate_blocked(g, fld.p)
+    rows = np.ascontiguousarray(g[:, :rank].T)
+    return Echelon(p=fld.p, rank=rank, pivot_columns=tuple(pivots), rows=rows)

@@ -306,8 +306,8 @@ class HilbertTable:
 
 def _search_window(system: FormSystem) -> int:
     # a primary system of this degree type has vanished by total - d;
-    # one degree of slack keeps the guard strict
-    return system.total_degree - (system.v - 1) + 1
+    # one degree of slack keeps the guard strict, and H(0) is always shown
+    return max(system.total_degree - (system.v - 1) + 1, 0)
 
 
 def hilbert_table(system: FormSystem, window: int | None = None) -> HilbertTable:
@@ -392,7 +392,7 @@ def froeberg_check(
     fld = field if isinstance(field, PrimeField) else PrimeField(field)
     dt = DegreeType(d, degrees)
     v = d + 1
-    window = dt.total - dt.d
+    window = max(dt.total - dt.d, 0)
     series = froeberg_series(dt, window)
     clipped = initial_segment(series).coeffs
     m0 = smallest_zero(dt) if dt.n >= dt.d + 1 else None

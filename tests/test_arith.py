@@ -169,7 +169,7 @@ class TestFpRank:
         for r, c, k in ((150, 190, 80), (200, 150, 150), (130, 130, 129)):
             a = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
             rank, pivots, _ = echelon_reference(a.tolist(), p)
-            assert _eliminate_blocked(a.astype(np.int64).copy(), p) == (rank, pivots)
+            assert _eliminate_blocked(a.T.astype(np.int64), p) == (rank, pivots)
             assert rank <= k
 
     def test_blocked_small_blocks_against_oracle(self):
@@ -180,7 +180,7 @@ class TestFpRank:
             c = int(rng.integers(5, 40))
             k = int(rng.integers(1, min(r, c) + 1))
             a = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
-            got, _ = _eliminate_blocked(a.astype(np.int64).copy(), p, block=8)
+            got, _ = _eliminate_blocked(a.T.astype(np.int64), p, block=8)
             assert got == echelon_reference(a.tolist(), p)[0]
 
     def test_big_prime_path(self):
@@ -256,7 +256,7 @@ class TestFpEchelon:
         a = (rng.integers(0, p, (160, 90)) @ rng.integers(0, p, (90, 170))) % p
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         b = a.astype(np.int64).copy()
-        assert _eliminate_blocked(b, p) == (rank, pivots)
+        assert _eliminate_blocked(b.T, p) == (rank, pivots)
         assert b[:rank].tolist() == rows
 
 
@@ -353,6 +353,26 @@ class TestKernelAgainstReference:
         assert ech.pivot_columns == tuple(pivots)
         assert ech.rows.tolist() == rows
 
+    def test_input_layouts_agree_and_are_left_unchanged(self):
+        # fp_rank and fp_echelon eliminate a reduced copy stored by columns,
+        # whatever the layout they are given; 150 x 140 spans three panels
+        p = 97
+        rng = np.random.default_rng(14)
+        a = rng.integers(-2 * p, 2 * p, (150, 60)) @ rng.integers(0, 3, (60, 140))
+        a[rng.random(150) < 0.1] = 0
+        padded = np.zeros((300, 280), dtype=np.int64)
+        padded[::2, 1::2] = a
+        inputs = [a, np.asfortranarray(a), padded[::2, 1::2], a.tolist()]
+        copies = [np.array(x, copy=True) for x in inputs]
+        rank, pivots, rows = echelon_reference(a.tolist(), p)
+        for x in inputs:
+            assert fp_rank(x, p) == rank
+            ech = fp_echelon(x, p)
+            assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
+            assert ech.rows.tolist() == rows
+        for x, before in zip(inputs, copies):
+            assert np.array_equal(x, before)
+
     @given(kernel_matrices(), st.sampled_from((8, 24, _BLOCK, 80)))
     def test_blocked_kernel(self, case, block):
         # small and odd panel widths put panel and sub-panel edges at many
@@ -362,7 +382,7 @@ class TestKernelAgainstReference:
         assume(block <= _BLOCK or p < 2**31 - 1)
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         b = a % p
-        assert _eliminate_blocked(b, p, block) == (rank, pivots)
+        assert _eliminate_blocked(b.T, p, block) == (rank, pivots)
         assert b[:rank].tolist() == rows
 
 
@@ -377,7 +397,7 @@ class TestBlockedExactness:
         a = np.random.default_rng(12).integers(0, p, (70, 70))
         before = a.copy()
         with pytest.raises(PreconditionError, match=r"2\^53"):
-            _eliminate_blocked(a, p, block=80)
+            _eliminate_blocked(a.T, p, block=80)
         assert np.array_equal(a, before)
 
     def test_int64_bound_reduces_eagerly(self):
@@ -388,7 +408,7 @@ class TestBlockedExactness:
         n = 2**63 // (p - 1) ** 2 + 1
         a = np.ones((n, n), dtype=np.int64)
         assert _check_exact(p, 1, n, n) == (False, True)
-        assert _eliminate_blocked(a, p, block=1) == (1, [0])
+        assert _eliminate_blocked(a.T, p, block=1) == (1, [0])
         assert (a[0] == 1).all()
 
     def test_unsplit_update_is_reduced_when_eager(self):
@@ -396,10 +416,10 @@ class TestBlockedExactness:
         # many to eliminate here; one trailing update of (p-1)^2 shows it
         p = _prime_from(94906265, -1)
         ops = np.ones((1, 1), dtype=np.int64)
-        mult = np.full((2, 1), p - 1)
+        mult = np.full((1, 2), p - 1)
         for eager in (False, True):
-            top = np.full((1, 3), p - 1)
-            below = np.ones((2, 3), dtype=np.int64)
+            top = np.full((3, 1), p - 1)
+            below = np.ones((3, 2), dtype=np.int64)
             _apply_pivots(top, below, ops, mult, p, False, eager)
             delayed = 1 - (p - 1) ** 2
             assert (below == (delayed % p if eager else delayed)).all()
@@ -440,5 +460,5 @@ class TestBlockedExactness:
     def test_kernel_on_both_sides(self, p, shape):
         a = np.random.default_rng(13).integers(0, p, shape)
         rank, pivots, rows = echelon_reference(a.tolist(), p)
-        assert _eliminate_blocked(a, p) == (rank, pivots)
+        assert _eliminate_blocked(a.T, p) == (rank, pivots)
         assert a[:rank].tolist() == rows

@@ -300,6 +300,26 @@ class TestVerifyHilbert:
             assert (code, out) == (2, ""), flag
             assert err.startswith("usage error: pass either --ideal-file or "), flag
 
+    # total degree below d: the window total - d is negative, so only H(0)
+    # is shown
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_window_below_zero_shows_degree_zero(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "hilbert", "--d", "3", "--n", n,
+                                 "--a", "1", "--trials", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["window"], result["violations"]) == (0, [])
+        assert result["predicted_clipped"] == result["trials"][0]["values"] == [1]
+
+    def test_ideal_file_window_below_zero_shows_degree_zero(self, capsys, tmp_path):
+        path = tmp_path / "linear.txt"
+        path.write_text("p=7 v=4\n1; 1 0 0 0:1\n")
+        code, payload = run_json(capsys, "verify", "hilbert", "--ideal-file", str(path))
+        assert code == 0
+        result = payload["result"]
+        assert result["values"] == result["predicted_clipped"] == [1]
+        assert (result["first_zero"], result["equality"]) == (None, True)
+
     @pytest.mark.parametrize("v", [0, -1])
     @pytest.mark.parametrize(
         "command",
