@@ -207,8 +207,8 @@ def _apply_pivots(
     below) -= top @ mult, where mult (t x rows below) holds the reduced
     multipliers, and below is reduced mod p at once when eager.  Both are
     matmuls of operands in [0, p) over t <= block terms, exact by
-    _check_exact.  below is updated in chunks of _CHUNK_ROWS columns, so
-    no temporary of its full size is made.
+    _check_exact.  below is updated _CHUNK_ROWS columns at a time, so no
+    product wider than that is made.
     """
     ops_f = _right_operand(ops.T, split)
     top[...] = _product((top % p).astype(np.float64), ops_f, p, split).astype(np.int64) % p
