@@ -94,30 +94,29 @@ def monomials_of_degree(v: int, m: int) -> list[Monomial]:
     return [Monomial(e) for e in _exponent_tuples(v, m)]
 
 
-def _pack_bits(v: int, m: int) -> int | None:
-    # pack each exponent into 63//v bits so that adding codes adds exponent
-    # vectors without carries and the code order equals the canonical order
-    bits = 63 // v
-    if m < (1 << bits) and v * bits <= 63:
-        return bits
-    return None
-
-
-def _pack(exps, v: int, bits: int) -> np.ndarray:
-    # code sum_i e_i << (bits * i) of each exponent row, as one integer dot
-    # product with the bit weights
-    weights = np.left_shift(1, bits * np.arange(v, dtype=np.int64))
-    return np.array(exps, dtype=np.int64).reshape(-1, v) @ weights
+@lru_cache(maxsize=None)
+def _binomials(v: int, m: int) -> np.ndarray:
+    # table[j, r] = C(r + j, j + 1) for j < v - 1 and r <= m.  With r_j =
+    # e_0 + ... + e_j, the canonical index of x^e of degree m is
+    #     monomial_count(v, m) - 1 - sum_{j < v-1} C(r_j + j, j + 1),
+    # since C(r_j + j, j + 1) counts the degree-m monomials that agree with
+    # x^e in e_{j+2..v-1} and have a larger e_{j+1}, that is, those after
+    # x^e (the combinatorial number system: Knuth, TAOCP 4A, 7.2.1.3).
+    # Every entry and every partial sum lies in [0, monomial_count(v, m)),
+    # so below 2^63 monomials no int64 can wrap.
+    if monomial_count(v, m) >= 2**63:
+        raise PreconditionError(f"too many degree-{m} monomials in {v} variables")
+    table = np.empty((v - 1, m + 1), dtype=np.int64)
+    for j in range(v - 1):
+        table[j] = np.cumsum(table[j - 1]) if j else np.arange(m + 1)
+    return table
 
 
 @lru_cache(maxsize=None)
-def _codes(v: int, m: int, bits: int) -> np.ndarray:
-    return _pack(_exponent_tuples(v, m), v, bits)
-
-
-@lru_cache(maxsize=None)
-def _index_of(v: int, m: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(_exponent_tuples(v, m))}
+def _partial_degrees(v: int, m: int) -> np.ndarray:
+    # row j: r_j = e_0 + ... + e_j of each degree-m monomial, in canonical order
+    exps = np.array(_exponent_tuples(v, m), dtype=np.int64).reshape(-1, v)
+    return np.ascontiguousarray(exps.cumsum(axis=1).T)
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ class Form:
             raise PreconditionError(f"degree must be >= 0, got {self.degree}")
         seen = set()
         for exps, coeff in self.terms:
-            if len(exps) != self.v:
-                raise PreconditionError(f"term {exps} has wrong variable count")
+            if len(exps) != self.v or min(exps, default=0) < 0:
+                raise PreconditionError(f"term {exps} is not {self.v} exponents >= 0")
             if sum(exps) != self.degree:
                 raise PreconditionError(
                     f"term {exps} has degree {sum(exps)}, form says {self.degree}"
@@ -153,15 +152,10 @@ class Form:
     @classmethod
     def make(cls, v: int, degree: int, coeffs: dict[tuple[int, ...], int]) -> "Form":
         """Build a form from a monomial -> coefficient mapping, dropping
-        zeros and ordering terms canonically."""
-        order = _index_of(v, degree)
+        zeros and ordering terms canonically: ascending lexicographic on
+        the reversed exponent tuple, as in _exponent_tuples."""
         items = [(e, c) for e, c in coeffs.items() if c != 0]
-        for exps, _ in items:
-            if exps not in order:
-                raise PreconditionError(
-                    f"{exps} is not a degree-{degree} monomial in {v} variables"
-                )
-        items.sort(key=lambda item: order[item[0]])
+        items.sort(key=lambda item: item[0][::-1])
         return cls(v=v, degree=degree, terms=tuple(items))
 
     @property
@@ -241,19 +235,12 @@ def product_support(form: Form, m: int) -> np.ndarray:
     v, shift_deg = form.v, m - form.degree
     if shift_deg < 0:
         return np.zeros((0, len(form.terms)), dtype=np.int64)
-    bits = _pack_bits(v, m)
-    if bits is not None:
-        term_codes = _pack([exps for exps, _ in form.terms], v, bits)
-        prod = _codes(v, shift_deg, bits)[:, None] + term_codes[None, :]
-        return np.searchsorted(_codes(v, m, bits), prod)
-    index = _index_of(v, m)
-    return np.array(
-        [
-            [index[tuple(a + b for a, b in zip(mu, exps))] for exps, _ in form.terms]
-            for mu in _exponent_tuples(v, shift_deg)
-        ],
-        dtype=np.int64,
-    ).reshape(monomial_count(v, shift_deg), len(form.terms))
+    table, shifts = _binomials(v, m), _partial_degrees(v, shift_deg)
+    terms = np.array([e for e, _ in form.terms], dtype=np.int64).reshape(-1, v).cumsum(axis=1).T
+    out = np.full((shifts.shape[1], terms.shape[1]), monomial_count(v, m) - 1, dtype=np.int64)
+    for j in range(v - 1):
+        out -= np.take(table[j], np.add.outer(shifts[j], terms[j]))
+    return out
 
 
 def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
@@ -266,7 +253,7 @@ def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
     ncols = sum(
         monomial_count(system.v, m - f.degree) for f in system.forms if f.degree <= m
     )
-    out = np.zeros((nrows, ncols), dtype=np.int64)
+    out = np.zeros((nrows, ncols), dtype=np.int64, order="F")
     col0 = 0
     for f in system.forms:
         support = product_support(f, m)

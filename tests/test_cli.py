@@ -320,6 +320,16 @@ class TestVerifyHilbert:
         assert result["values"] == result["predicted_clipped"] == [1]
         assert (result["first_zero"], result["equality"]) == (None, True)
 
+    def test_ideal_file_many_variables(self, capsys, tmp_path):
+        # reading x_0^16 in 16 variables places one term; nothing lists the
+        # C(31, 15) = 300,540,195 monomials of degree 16
+        path = tmp_path / "sixteen.txt"
+        path.write_text("p=7 v=16\n16; 16" + " 0" * 15 + ":1\n")
+        code, out, err = run_cli(capsys, "verify", "hilbert", "--ideal-file", str(path))
+        assert (code, err) == (0, "")
+        assert "hilbert   1 16 136\n" in out
+        assert "Traceback" not in out
+
     @pytest.mark.parametrize("v", [0, -1])
     @pytest.mark.parametrize(
         "command",

@@ -100,6 +100,15 @@ class TestForm:
     def test_make_rejects_foreign_exponents(self):
         with pytest.raises(PreconditionError):
             Form.make(2, 2, {(3, 0): 1})
+        with pytest.raises(PreconditionError):
+            Form.make(2, 2, {(2, 0, 0): 1})
+
+    def test_rejects_negative_exponent(self):
+        # (2, -1) has degree 1 but is no monomial
+        with pytest.raises(PreconditionError, match="exponents >= 0"):
+            Form(v=2, degree=1, terms=(((2, -1), 1),))
+        with pytest.raises(PreconditionError):
+            Form.make(2, 1, {(2, -1): 1})
 
     def test_product_support(self):
         # x^2 + 2xy: its products by x, y in degree 3 over x^3, x^2y, xy^2, y^3
@@ -108,9 +117,8 @@ class TestForm:
         assert product_support(f, 3).tolist() == [[0, 1], [1, 2]]
         assert product_support(f, 1).shape == (0, 2)
 
-    @pytest.mark.parametrize("v,m", [(3, 5), (64, 2)])
+    @pytest.mark.parametrize("v,m", [(3, 5), (64, 2), (1, 9), (7, 4), (16, 3), (2, 45)])
     def test_product_support_by_exponents(self, v, m):
-        # v = 64 leaves no bits for packed codes, so the dict path runs
         rng = SplitMix64(3)
         f = random_form(v, 1, 7, rng)
         index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, m))}
@@ -120,6 +128,28 @@ class TestForm:
             for mu in shifts
         ]
         assert product_support(f, m).tolist() == expected
+
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_index_of_every_monomial(self, v):
+        one = Form(v=v, degree=0, terms=(((0,) * v, 1),))
+        for m in range(12):
+            assert product_support(one, m).ravel().tolist() == list(range(monomial_count(v, m)))
+
+    def test_index_beyond_int64_refused(self):
+        # C(103, 63) > 2^63 monomials of degree 40 in 64 variables
+        f = Form.make(64, 1, {(1,) + (0,) * 63: 1})
+        with pytest.raises(PreconditionError, match="too many"):
+            product_support(f, 40)
+
+    @pytest.mark.parametrize("v,degree", [(1, 3), (2, 7), (3, 4), (5, 3), (9, 2)])
+    def test_make_orders_terms_like_index_dict(self, v, degree):
+        index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, degree))}
+        rng = SplitMix64(v * 100 + degree)
+        monos = list(index)
+        for _ in range(20):
+            picked = {monos[rng.next_below(len(monos))]: 1 + rng.next_below(6) for _ in range(6)}
+            f = Form.make(v, degree, picked)
+            assert [e for e, _ in f.terms] == sorted(picked, key=index.__getitem__)
 
     def test_system_rejects_mixed_vars(self):
         f = Form.make(2, 1, {(1, 0): 1})
@@ -219,17 +249,22 @@ class TestMacaulayMatrix:
         system = random_form_system(3, (2, 2), F, rng)
         assert np.array_equal(product_row_matrix(system, 4), macaulay_matrix(system, 4).T)
 
-    def test_dict_fallback_matches_fast_path(self, monkeypatch):
-        # packed codes at 63, 21, 15 and 9 bits per exponent
-        import tcbounds.macaulay as mac
-
-        cases = ((1, (4,), 9), (3, (3, 2, 2), 5), (4, (1, 3), 6), (7, (2, 2), 3))
+    def test_matrix_matches_index_dict(self):
+        # every entry placed by a dict over monomials_of_degree
+        cases = ((1, (4,), 9), (3, (3, 2, 2), 5), (4, (1, 3), 6), (7, (2, 2), 3),
+                 (16, (1, 2), 3), (64, (1,), 2), (2, (40, 3), 43))
         rng = SplitMix64(9)
-        systems = [(random_form_system(v, degrees, F, rng), m) for v, degrees, m in cases]
-        fast = [macaulay_matrix(system, m) for system, m in systems]
-        monkeypatch.setattr(mac, "_pack_bits", lambda v, m: None)
-        for (system, m), mat in zip(systems, fast):
-            assert np.array_equal(mat, macaulay_matrix(system, m))
+        for v, degrees, m in cases:
+            system = random_form_system(v, degrees, F, rng)
+            index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, m))}
+            expected = np.zeros((len(index), 0), dtype=np.int64)
+            for f in system.forms:
+                for mu in monomials_of_degree(v, m - f.degree) if f.degree <= m else ():
+                    col = np.zeros((len(index), 1), dtype=np.int64)
+                    for exps, c in f.terms:
+                        col[index[tuple(a + b for a, b in zip(mu.exponents, exps))]] = c
+                    expected = np.hstack([expected, col])
+            assert np.array_equal(macaulay_matrix(system, m), expected), (v, degrees, m)
 
 
 class TestHilbert:
