@@ -11,9 +11,7 @@ Each bound carries the hypothesis it needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import PreconditionError
 from .froeberg import DegreeType, smallest_zero
@@ -21,7 +19,6 @@ from .froeberg import DegreeType, smallest_zero
 __all__ = [
     "BoundReport",
     "BoundTable",
-    "AsymptoticReport",
     "generic_tight_bound",
     "generic_frobenius_bound",
     "generic_ideal_bound",
@@ -31,7 +28,6 @@ __all__ = [
     "a_invariant_complete_intersection",
     "bound_report",
     "build_table",
-    "asymptotic_ratio",
 ]
 
 _HYPOTHESES = {
@@ -191,39 +187,3 @@ def build_table(d: int, a: int, n_values: list[int] | tuple[int, ...]) -> BoundT
     )
     return BoundTable(d=d, a=a, n_values=tuple(n_values), rows=rows, limits=limits)
 
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """m0/a ratios for growing a at fixed (d, n), with the predicted limit
-    where one is known (d=2 closed form; d=3/d=4 with n a perfect d-th power)."""
-
-    d: int
-    n: int
-    a_values: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
-    predicted_limit: float | None
-
-
-def _predicted_limit(d: int, n: int) -> float | None:
-    if d == 2:
-        return (n + math.sqrt(n)) / (n - 1)
-    if d in (3, 4):
-        root = round(n ** (1.0 / d))
-        if root**d == n and root >= 2:
-            return root / (root - 1)
-    return None
-
-
-def asymptotic_ratio(d: int, n: int, a_values: list[int] | tuple[int, ...]) -> AsymptoticReport:
-    if n < d + 1:
-        raise PreconditionError(f"need n >= d+1, got n={n}, d={d}")
-    ratios = tuple(
-        Fraction(smallest_zero(DegreeType.constant(d, n, a)), a) for a in a_values
-    )
-    return AsymptoticReport(
-        d=d,
-        n=n,
-        a_values=tuple(a_values),
-        ratios=ratios,
-        predicted_limit=_predicted_limit(d, n),
-    )

@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree_flags(p_hil, d_required=False)
     p_hil.add_argument("--p", type=int, help="prime field (default TCBOUNDS_PRIME or 32003)")
     p_hil.add_argument("--trials", type=int, default=20)
-    p_hil.add_argument("--workers", type=int, help="parallel trials (default TCBOUNDS_WORKERS or 1)")
     p_hil.add_argument("--ideal-file", dest="ideal_file",
                        help="check one explicit form system instead of random trials")
     _add_output_flags(p_hil)
@@ -308,11 +307,8 @@ def cmd_verify_hilbert(args) -> Output:
     if args.d is None:
         raise UsageError("need --d (with --n/--a or --degrees), or --ideal-file")
     dt = _degree_type(args)
-    workers = _flag_or_env(args.workers, "TCBOUNDS_WORKERS", 1)
-    report = froeberg_check(
-        dt.d, dt.degrees, PrimeField(prime), args.trials, args.seed, workers=workers
-    )
-    params = _params(dt, args, p=prime, trials=args.trials, workers=workers)
+    report = froeberg_check(dt.d, dt.degrees, PrimeField(prime), args.trials, args.seed)
+    params = _params(dt, args, p=prime, trials=args.trials)
     result = {
         "window": report.window,
         "m0": report.m0,

@@ -8,7 +8,6 @@ monomials and whose columns are those products. H(m) = dim P_m - rank.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +33,6 @@ __all__ = [
     "product_support",
     "hilbert_value",
     "hilbert_table",
-    "first_inclusion_degree",
     "froeberg_check",
     "write_form_system",
     "read_form_system",
@@ -309,15 +307,6 @@ def hilbert_table(system: FormSystem, window: int | None = None) -> HilbertTable
     return HilbertTable(values=tuple(values), first_zero=None)
 
 
-def first_inclusion_degree(system: FormSystem) -> int:
-    """Smallest m with (P/I)_m = 0, i.e. P_m contained in I."""
-    window = _search_window(system)
-    table = hilbert_table(system, window)
-    if table.first_zero is None:
-        raise PreconditionError(f"ideal not primary up to degree {window}")
-    return table.first_zero
-
-
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
@@ -363,7 +352,6 @@ def froeberg_check(
     field: PrimeField | int,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> FroebergCheckReport:
     """Draw `trials` random systems of the degree type and compare their
     Hilbert functions with the predicted generic one.
@@ -371,8 +359,7 @@ def froeberg_check(
     H(m) >= predicted_clipped[m] for every m is a theorem, so any violation
     recorded in inequality_violations indicates a defect somewhere.  Whether
     H == predicted_clipped everywhere (generic equality) is recorded per
-    trial.  Trial t draws from an independent stream seeded seed + t, so
-    results do not depend on the worker count.
+    trial.  Trial t draws from an independent stream seeded seed + t.
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
@@ -384,23 +371,12 @@ def froeberg_check(
     clipped = initial_segment(series).coeffs
     m0 = smallest_zero(dt) if dt.n >= dt.d + 1 else None
 
-    def run_trial(t: int) -> TrialResult:
-        rng = SplitMix64(seed + t)
-        system = random_form_system(v, dt.degrees, fld, rng)
+    results = []
+    for t in range(trials):
+        system = random_form_system(v, dt.degrees, fld, SplitMix64(seed + t))
         table = hilbert_table(system, window)
         values = _padded_values(table, window)
-        return TrialResult(
-            trial=t,
-            first_zero=table.first_zero,
-            values=values,
-            equality=values == clipped,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(run_trial, range(trials)))
-    else:
-        results = tuple(run_trial(t) for t in range(trials))
+        results.append(TrialResult(t, table.first_zero, values, values == clipped))
 
     violations = []
     for res in results:
@@ -419,7 +395,7 @@ def froeberg_check(
         m0=m0,
         predicted=series.coeffs,
         predicted_clipped=clipped,
-        results=results,
+        results=tuple(results),
         equality_rate=equality_rate,
         inequality_violations=tuple(violations),
     )

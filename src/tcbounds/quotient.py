@@ -39,15 +39,14 @@ from .macaulay import (
 __all__ = [
     "GradedQuotient",
     "MembershipVerdict",
+    "MembershipOracle",
     "FrobeniusQuery",
     "WitnessScanReport",
     "TheoremCReport",
     "TheoremBReport",
     "ring_dimension_at",
     "ring_basis",
-    "ideal_membership",
     "frobenius_power_ideal",
-    "frobenius_membership",
     "tight_witness_scan",
     "verify_theorem_c",
     "verify_theorem_b",
@@ -71,8 +70,7 @@ class GradedQuotient:
 
     The leading monomial of a relation is its first term, the largest in
     the canonical (degrevlex) order.  J's fully reduced echelons (normal
-    forms) are cached per degree; after single-threaded warm-up the cache is
-    read-only and safe to share.
+    forms) are cached per degree.
     """
 
     def __init__(self, field: PrimeField, v: int, modulus: FormSystem | None = None):
@@ -216,8 +214,12 @@ def _stacked_shape(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> tu
     return rows, monomial_count(ring.v, m)
 
 
+def _over_cap(rows: int, cols: int) -> bool:
+    return rows * cols > _MAX_CELLS
+
+
 def _check_cells(what: str, rows: int, cols: int) -> None:
-    if rows * cols > _MAX_CELLS:
+    if _over_cap(rows, cols):
         raise PreconditionError(
             f"{what} needs a {rows} x {cols} matrix "
             f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
@@ -264,11 +266,6 @@ class MembershipOracle:
         return out
 
 
-def ideal_membership(ring: GradedQuotient, ideal: FormSystem, f: Form) -> MembershipVerdict:
-    """Is f in I*R?  Tested in degree deg f: f in (I + J)_{deg f} in P."""
-    return MembershipOracle(ring, ideal, f.degree).verdicts([f])[0]
-
-
 def _check_prime_power(q: int, p: int) -> None:
     r = q
     while r > 1 and r % p == 0:
@@ -295,15 +292,6 @@ def frobenius_power_ideal(ideal: FormSystem, q: int) -> FormSystem:
         v=ideal.v,
         forms=tuple(_frobenius_power_form(f, q) for f in ideal.forms),
     )
-
-
-def frobenius_membership(
-    ring: GradedQuotient, ideal: FormSystem, f: Form, q: int
-) -> MembershipVerdict:
-    """Is f^q in I^[q]*R?  True for some q = p^e iff f lies in the
-    Frobenius closure of I*R."""
-    _check_prime_power(q, ring.field.p)
-    return ideal_membership(ring, frobenius_power_ideal(ideal, q), _frobenius_power_form(f, q))
 
 
 @dataclass(frozen=True)
@@ -347,8 +335,8 @@ def _q_powers(
     qs = []
     q = ring.field.p
     while q <= q_max:
-        rows, cols = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base + shift)
-        if rows * cols > _MAX_CELLS:
+        shape = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base + shift)
+        if _over_cap(*shape):
             break
         qs.append(q)
         q *= ring.field.p

@@ -10,12 +10,13 @@ about all standard-graded algebras) are represented by criteria 3-7.
 import contextlib
 import io
 import json
+import math
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 from tcbounds import cli
 from tcbounds.arith import PrimeField, SplitMix64
-from tcbounds.bounds import asymptotic_ratio
 from tcbounds.fixtures import make_fixture, variables_ideal
 from tcbounds.froeberg import (
     DegreeType,
@@ -27,13 +28,13 @@ from tcbounds.froeberg import (
 )
 from tcbounds.macaulay import (
     Form,
-    first_inclusion_degree,
+    Monomial,
     froeberg_check,
+    hilbert_table,
     random_form_system,
 )
 from tcbounds.quotient import (
-    frobenius_membership,
-    ideal_membership,
+    MembershipOracle,
     ring_basis,
     tight_witness_scan,
     verify_theorem_b,
@@ -181,7 +182,7 @@ def test_criterion_5_generic_inclusion():
         rep = verify_theorem_c(poly.ring, dt, poly.a_invariant, seed=SEED)
         assert rep.passed
         assert rep.bound == smallest_zero(dt) == 3
-        assert first_inclusion_degree(rep.system) == rep.bound
+        assert hilbert_table(rep.system).first_zero == rep.bound
 
         cubic = make_fixture("fermat-cubic")
         rep = verify_theorem_c(cubic.ring, DegreeType(1, (2, 2, 2)), cubic.a_invariant, seed=SEED)
@@ -199,13 +200,9 @@ def test_criterion_5_generic_inclusion():
         bound = smallest_zero(guard_dt) + guard_dt.d + 1 + cubic.a_invariant
         assert bound == 5
         system = random_form_system(3, guard_dt.degrees, cubic.ring.field, SplitMix64(SEED))
-        missing = [
-            mono
-            for mono in ring_basis(cubic.ring, bound - 1)
-            if not ideal_membership(
-                cubic.ring, system, Form.make(3, bound - 1, {mono.exponents: 1})
-            ).contained
-        ]
+        basis = ring_basis(cubic.ring, bound - 1)
+        verdicts = MembershipOracle(cubic.ring, system, bound - 1).verdicts(basis)
+        missing = [mono for mono, verdict in zip(basis, verdicts) if not verdict.contained]
         assert missing
         info["detail"] = (
             "inclusion bounds 3/4/6 verified; guard found "
@@ -223,9 +220,9 @@ def test_criterion_6_frobenius_closure_evidence():
         assert rep.all_resolved
         assert all(q is not None and q <= 4 for _, q in rep.elements)
         # hand check: z^4 = z*(x^3+y^3) = x^2(xz) + y^2(yz) lies in (x^2,y^2)
-        z_squared = Form.make(3, 2, {(0, 0, 2): 1})
-        assert not frobenius_membership(ring, ideal, z_squared, 1).contained
-        assert frobenius_membership(ring, ideal, z_squared, 2).contained
+        z_squared = Monomial((0, 0, 2))
+        assert not MembershipOracle(ring, ideal, 2, 1).verdicts([z_squared])[0].contained
+        assert MembershipOracle(ring, ideal, 4, 2).verdicts([z_squared**2])[0].contained
         assert "not" in rep.note and "counterexample" in rep.note
         info["detail"] = (
             "all R_3 basis elements over F_2 resolve at q <= 4; "
@@ -252,13 +249,15 @@ def test_criterion_7_tight_closure_evidence():
 
 def test_criterion_8_asymptotics():
     with criterion(8, budget=30.0) as info:
-        rep2 = asymptotic_ratio(2, 10, [10**4])
-        err2 = abs(float(rep2.ratios[0]) - rep2.predicted_limit) / rep2.predicted_limit
+        # reference limits of m0 / a: (n + sqrt n) / (n - 1) for d = 2,
+        # and r / (r - 1) = 2 for d = 3, n = r^3 = 8
+        limit2 = (10 + math.sqrt(10)) / 9
+        ratio2 = Fraction(smallest_zero(DegreeType.constant(2, 10, 10**4)), 10**4)
+        err2 = abs(float(ratio2) - limit2) / limit2
         assert err2 < 0.01
 
-        rep3 = asymptotic_ratio(3, 8, [10**4])
-        assert rep3.predicted_limit == 2.0
-        err3 = abs(float(rep3.ratios[0]) - 2.0) / 2.0
+        ratio3 = Fraction(smallest_zero(DegreeType.constant(3, 8, 10**4)), 10**4)
+        err3 = abs(float(ratio3) - 2.0) / 2.0
         assert err3 < 0.02
         info["detail"] = (
             f"m0/a at a=10^4: rel err {err2:.1e} (d=2, n=10), {err3:.1e} (d=3, n=8)"

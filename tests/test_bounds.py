@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,6 @@ from tcbounds import bounds
 from tcbounds.arith import PreconditionError, SplitMix64
 from tcbounds.bounds import (
     a_invariant_complete_intersection,
-    asymptotic_ratio,
     bound_report,
     build_table,
     generic_frobenius_bound,
@@ -183,29 +183,32 @@ class TestBuildTable:
             build_table(2, 10, [2, 3])
 
 
+def m0_ratio(d, n, a):
+    return Fraction(smallest_zero(DegreeType.constant(d, n, a)), a)
+
+
 class TestAsymptotics:
+    """m0 / a at fixed (d, n) and growing a, against the limit each case is
+    expected to approach, written in as a reference value."""
+
     def test_dim1_exact(self):
-        rep = asymptotic_ratio(1, 2, [5, 10, 100])
-        for a, ratio in zip(rep.a_values, rep.ratios):
-            assert ratio == 2 - math.gcd(1, a) / a or float(ratio) == 2 - 1 / a
-        assert rep.predicted_limit is None
+        # two binary forms of degree a are parameters: m0 = 2a - 1
+        for a in (5, 10, 100):
+            assert m0_ratio(1, 2, a) == 2 - Fraction(1, a)
 
     def test_dim2_limit(self):
-        rep = asymptotic_ratio(2, 10, [10**3])
-        target = (10 + math.sqrt(10)) / 9
-        assert rep.predicted_limit == pytest.approx(target)
-        assert abs(float(rep.ratios[0]) - target) / target < 0.02
+        target = (10 + math.sqrt(10)) / 9  # (n + sqrt n) / (n - 1)
+        assert abs(float(m0_ratio(2, 10, 10**3)) - target) / target < 0.02
 
     def test_dim3_cube_limit(self):
-        rep = asymptotic_ratio(3, 8, [100])
-        assert rep.predicted_limit == 2.0
-
-    def test_dim3_noncube_has_no_limit(self):
-        assert asymptotic_ratio(3, 6, [10]).predicted_limit is None
+        # n = 2^3: the limit is r / (r - 1) = 2 for r = 2
+        assert abs(float(m0_ratio(3, 8, 100)) - 2.0) / 2.0 < 0.01
 
     def test_dim4_fourth_power(self):
-        assert asymptotic_ratio(4, 16, [10]).predicted_limit == 2.0
+        # n = 2^4: the limit is again 2
+        assert abs(float(m0_ratio(4, 16, 10**3)) - 2.0) / 2.0 < 0.01
 
     def test_rejects_small_n(self):
+        # with n < d + 1 forms there is no m0, so no ratio
         with pytest.raises(PreconditionError):
-            asymptotic_ratio(2, 2, [10])
+            m0_ratio(2, 2, 10)

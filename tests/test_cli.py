@@ -246,14 +246,6 @@ class TestVerifyHilbert:
         )
         assert payload["params"]["p"] == 97
 
-    def test_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TCBOUNDS_WORKERS", "2")
-        code, payload = run_json(
-            capsys, "verify", "hilbert", "--d", "1", "--n", "3", "--a", "2",
-            "--trials", "4",
-        )
-        assert payload["params"]["workers"] == 2
-
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("TCBOUNDS_PRIME", "many")
         code, out, err = run_cli(
@@ -452,7 +444,6 @@ class TestReadme:
         examples = re.findall(r"^```\n\$ tcbounds (.*?)\n(.*?)^```$", readme, re.M | re.S)
         assert examples
         monkeypatch.delenv("TCBOUNDS_PRIME", raising=False)
-        monkeypatch.delenv("TCBOUNDS_WORKERS", raising=False)
         for command, shown in examples:
             code, out, err = run_cli(capsys, *shlex.split(command))
             assert (code, out, err) == (0, shown, ""), command

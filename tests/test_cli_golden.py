@@ -66,12 +66,8 @@ CASES = [
     {"argv": ["verify", "hilbert", "--d", "1", "--n", "3", "--a", "2", "--trials", "2",
               "--p", "97"],
      "env": {"TCBOUNDS_PRIME": "101"}},
-    {"argv": ["verify", "hilbert", "--d", "1", "--n", "3", "--a", "2", "--trials", "4"],
-     "env": {"TCBOUNDS_WORKERS": "2"}},
     {"argv": ["verify", "hilbert", "--d", "1", "--n", "3", "--a", "2", "--trials", "2"],
      "env": {"TCBOUNDS_PRIME": "many"}},
-    {"argv": ["verify", "hilbert", "--d", "1", "--n", "3", "--a", "2", "--trials", "2"],
-     "env": {"TCBOUNDS_WORKERS": "many"}},
     {"argv": ["verify", "hilbert", "--trials", "2"]},
     {"argv": ["verify", "hilbert", "--trials", "2"], "env": {"TCBOUNDS_PRIME": "many"}},
     {"argv": ["verify", "hilbert", "--ideal-file", "squares.txt"]},

@@ -7,7 +7,6 @@ from tcbounds.macaulay import (
     Form,
     FormSystem,
     Monomial,
-    first_inclusion_degree,
     froeberg_check,
     hilbert_table,
     hilbert_value,
@@ -277,11 +276,10 @@ class TestHilbert:
         table = hilbert_table(system)
         assert table.values == (1, 2, 1, 0)
         assert table.first_zero == 3
-        assert first_inclusion_degree(system) == 3
 
     def test_power_systems_vanish_at_parameter_bound(self):
         for a in (2, 3, 4):
-            assert first_inclusion_degree(powers_system(a)) == 3 * a - 2
+            assert hilbert_table(powers_system(a)).first_zero == 3 * a - 2
 
     def test_power_system_values_match_series(self):
         # complete intersection: H is the full series, never clipped early
@@ -304,7 +302,7 @@ class TestHilbert:
 
         rng = SplitMix64(3)
         system = random_form_system(3, (10,) * 5, F, rng)
-        assert first_inclusion_degree(system) == closed_form_dim2(5, 10) == 17
+        assert hilbert_table(system).first_zero == closed_form_dim2(5, 10) == 17
 
     def test_regular_sequence_matches_series(self):
         # n <= d+1 random forms form a regular sequence: H equals the series
@@ -315,10 +313,11 @@ class TestHilbert:
         for m in range(6):
             assert hilbert_value(system, m) == series[m]
 
-    def test_not_primary_raises(self):
+    def test_not_primary_has_no_zero(self):
         system = FormSystem(field=F, v=2, forms=(Form.make(2, 2, {(2, 0): 1}),))
-        with pytest.raises(PreconditionError, match="not primary"):
-            first_inclusion_degree(system)
+        table = hilbert_table(system)
+        assert table.values == (1, 2, 2)
+        assert table.first_zero is None
 
     def test_explicit_window(self):
         system = powers_system(2)
@@ -340,11 +339,12 @@ class TestFroebergCheck:
             assert res.first_zero == 2
             assert res.values == report.predicted_clipped
 
-    def test_trial_streams_are_independent_of_worker_count(self):
-        serial = froeberg_check(2, (2, 2, 2, 2), F, trials=4, seed=3, workers=1)
-        parallel = froeberg_check(2, (2, 2, 2, 2), F, trials=4, seed=3, workers=3)
-        assert serial.results == parallel.results
-        assert serial.equality_rate == parallel.equality_rate
+    def test_trial_t_draws_from_seed_plus_t(self):
+        report = froeberg_check(2, (2, 2, 2, 2), F, trials=4, seed=3)
+        for t, res in enumerate(report.results):
+            (alone,) = froeberg_check(2, (2, 2, 2, 2), F, trials=1, seed=3 + t).results
+            assert res.trial == t
+            assert (res.values, res.first_zero) == (alone.values, alone.first_zero)
 
     def test_deterministic_in_seed(self):
         a = froeberg_check(1, (3, 2), F, trials=2, seed=5)
