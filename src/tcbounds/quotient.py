@@ -260,6 +260,10 @@ class MembershipOracle:
                 g = Form(v=g.v, degree=g.degree, terms=((g.exponents, 1),))
             if g.v != self.ring.v:
                 raise PreconditionError("form variable count does not match ring")
+            if g.degree != self.degree:
+                raise PreconditionError(
+                    f"element of degree {g.degree} in a degree-{self.degree} test"
+                )
             contained = ech.contains(nf.products(g, self.degree)[0])
             rank_with = rank if contained else rank + 1
             out.append(MembershipVerdict(contained, self.degree, rank, rank_with))

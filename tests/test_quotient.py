@@ -186,6 +186,10 @@ class TestIdealMembership:
         foreign = FormSystem(field=PrimeField(5), v=3, forms=())
         with pytest.raises(PreconditionError):
             MembershipOracle(cubic7.ring, foreign, 2)
+        # an element is tested only in its own degree, not through a multiple
+        for m in (1, 4):
+            with pytest.raises(PreconditionError, match="element of degree 2"):
+                MembershipOracle(cubic7.ring, I, m).verdicts([Monomial((0, 0, 2))])
 
 
 class TestFrobeniusPowers:
