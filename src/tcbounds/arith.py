@@ -23,6 +23,7 @@ __all__ = [
     "Echelon",
     "binom",
     "fp_rank",
+    "fp_rank_profile",
     "fp_echelon",
 ]
 
@@ -307,15 +308,23 @@ def _columns(matrix, p: int) -> np.ndarray:
     return np.remainder(a.T, p, order="C")
 
 
-def fp_rank(matrix, field: PrimeField | int) -> int:
-    """Rank of a dense matrix over F_p.
+def fp_rank_profile(matrix, field: PrimeField | int) -> tuple[int, ...]:
+    """Column rank profile of a dense matrix over F_p: the pivot columns,
+    in increasing order.
 
+    They are the lexicographically first column basis, since a column is
+    a pivot exactly when it is not in the span of the columns before it.
+    So the rank of the first k columns is the number of pivots below k.
     Accepts any rectangular array-like of integers (reduced mod p on entry).
-    Deterministic: pivoting always takes the first nonzero entry.
     """
     fld = _as_field(field)
-    rank, _ = _eliminate_blocked(_columns(matrix, fld.p), fld.p)
-    return rank
+    _, pivots = _eliminate_blocked(_columns(matrix, fld.p), fld.p)
+    return tuple(pivots)
+
+
+def fp_rank(matrix, field: PrimeField | int) -> int:
+    """Rank of a dense matrix over F_p (the length of its rank profile)."""
+    return len(fp_rank_profile(matrix, field))
 
 
 @dataclass(frozen=True)

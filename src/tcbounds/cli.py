@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil = vsub.add_parser("hilbert", help="Hilbert functions of random ideals vs prediction")
     _add_degree_flags(p_hil, d_required=False)
     p_hil.add_argument("--p", type=int, help="prime field (default TCBOUNDS_PRIME or 32003)")
-    p_hil.add_argument("--trials", type=int, default=20)
+    p_hil.add_argument("--trials", type=int)
     p_hil.add_argument("--ideal-file", dest="ideal_file",
                        help="check one explicit form system instead of random trials")
     _add_output_flags(p_hil)
@@ -302,13 +302,14 @@ def _hilbert_single(args) -> Output:
 def cmd_verify_hilbert(args) -> Output:
     prime = _flag_or_env(args.p, "TCBOUNDS_PRIME", DEFAULT_PRIME)
     if args.ideal_file is not None:
-        _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p")
+        _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p", "trials")
         return _hilbert_single(args)
     if args.d is None:
         raise UsageError("need --d (with --n/--a or --degrees), or --ideal-file")
     dt = _degree_type(args)
-    report = froeberg_check(dt.d, dt.degrees, PrimeField(prime), args.trials, args.seed)
-    params = _params(dt, args, p=prime, trials=args.trials)
+    trials = 20 if args.trials is None else args.trials
+    report = froeberg_check(dt.d, dt.degrees, PrimeField(prime), trials, args.seed)
+    params = _params(dt, args, p=prime, trials=trials)
     result = {
         "window": report.window,
         "m0": report.m0,
@@ -327,7 +328,7 @@ def cmd_verify_hilbert(args) -> Output:
         ],
     }
     lines = [
-        f"{_type_line(dt)}; p={prime}, trials={args.trials}, seed={args.seed}",
+        f"{_type_line(dt)}; p={prime}, trials={trials}, seed={args.seed}",
         f"m0 = {report.m0}",
         f"equality_rate {report.equality_rate}",
         f"first zeros observed: {sorted({r.first_zero for r in report.results})}",

@@ -2,8 +2,18 @@
 
 The degree-m piece of an ideal I = (f_1,...,f_n) in P = F_p[x_0..x_v-1] is
 spanned by the products {mu * f_i : deg mu = m - deg f_i}; its dimension is
-the rank of the Macaulay matrix whose rows are indexed by the degree-m
+the rank of the Macaulay matrix M_m whose rows are indexed by the degree-m
 monomials and whose columns are those products. H(m) = dim P_m - rank.
+
+A whole table H(0..T) is read from one elimination of M_T.  P is a
+domain, so multiplication by x_0^(T-m) maps P_m into P_T injectively; it
+takes the product mu * f_i of degree m to the product x_0^(T-m) mu * f_i
+of degree T.  So rank M_m is the rank of the columns of M_T whose shift
+is divisible by x_0^(T-m), that is whose level T - e_0(shift) is at most
+m.  With the columns of M_T stably sorted by level, those columns are a
+prefix, and the pivot columns of Gaussian elimination are the
+lexicographically first column basis, so the rank of every prefix is the
+number of pivots in it (arith.fp_rank_profile).
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PreconditionError, PrimeField, SplitMix64, binom, fp_rank
+from .arith import PreconditionError, PrimeField, SplitMix64, binom, fp_rank, fp_rank_profile
 from .froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 
 __all__ = [
@@ -241,24 +251,38 @@ def product_support(form: Form, m: int) -> np.ndarray:
     return out
 
 
+def _product_columns(system: FormSystem, m: int, levelled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m Macaulay matrix and the level m - e_0(mu) of each of
+    its columns mu * f_i.  Columns are generator-major with shifts in
+    canonical order, or when levelled that order stably sorted by level;
+    each product is written once, straight into its column."""
+    if m < 0:
+        raise PreconditionError(f"degree must be >= 0, got {m}")
+    forms = [f for f in system.forms if f.degree <= m]
+    levels = np.concatenate(
+        [m - _partial_degrees(system.v, m - f.degree)[0] for f in forms]
+        or [np.zeros(0, dtype=np.int64)]
+    )
+    dest = np.arange(levels.size)
+    if levelled:
+        order = np.argsort(levels, kind="stable")
+        dest[order] = np.arange(levels.size)
+        levels = levels[order]
+    out = np.zeros((monomial_count(system.v, m), levels.size), dtype=np.int64, order="F")
+    col0 = 0
+    for f in forms:
+        support = product_support(f, m)
+        cols = dest[col0 : col0 + support.shape[0]]
+        out[support, cols[:, None]] = [c for _, c in f.terms]
+        col0 += support.shape[0]
+    return out, levels
+
+
 def macaulay_matrix(system: FormSystem, m: int) -> np.ndarray:
     """Degree-m multiplication matrix: rows are the degree-m monomials in
     canonical order, columns the products (generator-major, shifts in
     canonical order). Its rank is dim I_m."""
-    if m < 0:
-        raise PreconditionError(f"degree must be >= 0, got {m}")
-    nrows = monomial_count(system.v, m)
-    ncols = sum(
-        monomial_count(system.v, m - f.degree) for f in system.forms if f.degree <= m
-    )
-    out = np.zeros((nrows, ncols), dtype=np.int64, order="F")
-    col0 = 0
-    for f in system.forms:
-        support = product_support(f, m)
-        cols = np.arange(col0, col0 + support.shape[0])
-        out[support, cols[:, None]] = [c for _, c in f.terms]
-        col0 += support.shape[0]
-    return out
+    return _product_columns(system, m, levelled=False)[0]
 
 
 def product_row_matrix(system: FormSystem, m: int) -> np.ndarray:
@@ -268,7 +292,7 @@ def product_row_matrix(system: FormSystem, m: int) -> np.ndarray:
 
 
 def hilbert_value(system: FormSystem, m: int) -> int:
-    """H(m) = dim (P/I)_m, exactly."""
+    """H(m) = dim (P/I)_m, exactly, from the rank of M_m alone."""
     if m < 0:
         raise PreconditionError(f"degree must be >= 0, got {m}")
     if all(f.degree > m for f in system.forms):
@@ -295,15 +319,50 @@ def _search_window(system: FormSystem) -> int:
     return max(system.total_degree - (system.v - 1) + 1, 0)
 
 
+def _top_degree(system: FormSystem, window: int) -> int:
+    # min(m0, window) for the Froberg zero m0 of the nonzero forms: H(m) >=
+    # F+(m) > 0 below m0, so the first zero is never below this.  F is read
+    # from its series up to the window; it has no zero there when fewer
+    # than v forms have positive degree.  A nonzero constant vanishes at 0.
+    degrees = tuple(f.degree for f in system.forms if not f.is_zero)
+    if 0 in degrees:
+        return 0
+    if system.v < 2 or not degrees or window <= 0:
+        return window
+    series = froeberg_series(DegreeType(system.v - 1, degrees), window)
+    return next((m for m, c in enumerate(series.coeffs) if c <= 0), window)
+
+
+def _hilbert_prefix(system: FormSystem, top: int) -> list[int]:
+    # H(0..top) from one elimination of M_top in level order: rank M_m is
+    # the number of pivot columns of level <= m
+    matrix, levels = _product_columns(system, top, levelled=True)
+    pivots = list(fp_rank_profile(matrix, system.field))
+    ranks = np.cumsum(np.bincount(levels[pivots], minlength=top + 1))
+    return [monomial_count(system.v, m) - int(r) for m, r in enumerate(ranks)]
+
+
 def hilbert_table(system: FormSystem, window: int | None = None) -> HilbertTable:
+    """H(0..window), or up to its first zero, from one elimination.
+
+    The top degree T = min(m0, window), where m0 is the Froberg zero of the
+    system's nonzero forms, is the first degree where H may vanish; every
+    H(m) with m <= T is read from the column rank profile of M_T (see the
+    module docstring).  Only if H(T) > 0 does the table go on, one
+    elimination per further degree.  So T only decides where the first
+    elimination stops, never a value, and no matrix is built past the
+    first zero or the window.
+    """
     if window is None:
         window = _search_window(system)
     values: list[int] = []
-    for m in range(window + 1):
-        h = hilbert_value(system, m)
-        values.append(h)
-        if h == 0:
-            return HilbertTable(values=tuple(values), first_zero=m)
+    top = _top_degree(system, window)
+    while top <= window:
+        values += _hilbert_prefix(system, top)[len(values) :]
+        if values[-1] == 0:
+            zero = values.index(0)
+            return HilbertTable(values=tuple(values[: zero + 1]), first_zero=zero)
+        top += 1
     return HilbertTable(values=tuple(values), first_zero=None)
 
 

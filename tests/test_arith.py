@@ -18,6 +18,7 @@ from tcbounds.arith import (
     binom,
     fp_echelon,
     fp_rank,
+    fp_rank_profile,
 )
 from tcbounds.arith import (
     _BLOCK,
@@ -325,8 +326,8 @@ def kernel_matrices(draw, primes=KERNEL_PRIMES):
 
 
 class TestKernelAgainstReference:
-    """fp_rank, fp_echelon and the blocked kernel against echelon_reference:
-    rank, pivot columns and rows must agree exactly."""
+    """fp_rank, fp_rank_profile, fp_echelon and the blocked kernel against
+    echelon_reference: rank, pivot columns and rows must agree exactly."""
 
     def test_prime_list(self):
         assert KERNEL_PRIMES[4:] == (11_863_279, 11_863_289, 2**31 - 1)
@@ -348,6 +349,7 @@ class TestKernelAgainstReference:
         a, p = case
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         assert fp_rank(a, p) == rank
+        assert fp_rank_profile(a, p) == tuple(pivots)
         ech = fp_echelon(a, p)
         assert ech.rank == rank
         assert ech.pivot_columns == tuple(pivots)

@@ -292,6 +292,22 @@ class TestVerifyHilbert:
             assert (code, out) == (2, ""), flag
             assert err.startswith("usage error: pass either --ideal-file or "), flag
 
+    def test_ideal_file_refuses_trials(self, capsys, tmp_path):
+        # one explicit system is checked, so a trial count would be ignored;
+        # 20, the count random trials take by default, is refused too
+        path = tmp_path / "squares.txt"
+        path.write_text("p=32003 v=2\n2; 2 0:1\n2; 0 2:1\n")
+        for trials in ("5", "20"):
+            code, out, err = run_cli(capsys, "verify", "hilbert", "--ideal-file", str(path),
+                                     "--trials", trials, "--seed", "3", "--format", "json")
+            assert (code, out) == (2, ""), trials
+            assert err == "usage error: pass either --ideal-file or --trials, not both\n"
+
+    def test_trials_default_to_twenty(self, capsys):
+        code, payload = run_json(capsys, "verify", "hilbert", "--d", "1", "--n", "3", "--a", "2")
+        assert code == 0
+        assert payload["params"]["trials"] == len(payload["result"]["trials"]) == 20
+
     # total degree below d: the window total - d is negative, so only H(0)
     # is shown
     @pytest.mark.parametrize("n", ["1", "2"])

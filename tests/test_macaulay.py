@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from tcbounds import arith
 from tcbounds.arith import PreconditionError, PrimeField, SplitMix64
-from tcbounds.froeberg import DegreeType, froeberg_series, initial_segment
+from tcbounds.froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 from tcbounds.macaulay import (
     Form,
     FormSystem,
@@ -20,6 +23,7 @@ from tcbounds.macaulay import (
     read_form_system,
     write_form_system,
 )
+from tcbounds.macaulay import _search_window
 
 F = PrimeField(32003)
 
@@ -324,6 +328,94 @@ class TestHilbert:
         table = hilbert_table(system, window=2)
         assert table.values == (1, 3, 3)
         assert table.first_zero is None
+
+
+def record_eliminations(monkeypatch) -> list[tuple[int, int]]:
+    """The shape of the column store of every elimination from now on."""
+    shapes: list[tuple[int, int]] = []
+    kernel = arith._eliminate_blocked
+
+    def recording(g, p, *args):
+        shapes.append(g.shape)
+        return kernel(g, p, *args)
+
+    monkeypatch.setattr(arith, "_eliminate_blocked", recording)
+    return shapes
+
+
+def per_degree_table(system, window):
+    """H(0..window) up to its first zero, one hilbert_value per degree."""
+    values = []
+    for m in range(window + 1):
+        values.append(hilbert_value(system, m))
+        if values[-1] == 0:
+            return tuple(values), m
+    return tuple(values), None
+
+
+@st.composite
+def systems_and_windows(draw):
+    """(system, window): 1..v+3 forms of degrees 0..4 in v = 1..4
+    variables, each dense random, sparse with at most three terms (the
+    zero form included) or a repeat of an earlier one; window None or
+    0..9."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 32003)))
+    v = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, v + 3))):
+        a = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(("dense", "sparse", "repeat")))
+        if kind == "repeat" and forms:
+            forms.append(draw(st.sampled_from(forms)))
+        elif kind == "dense" and a >= 1:
+            seed = draw(st.integers(0, 2**32 - 1))
+            forms.append(random_form(v, a, PrimeField(p), SplitMix64(seed)))
+        else:
+            monos = [mono.exponents for mono in monomials_of_degree(v, a)]
+            terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1), max_size=3))
+            forms.append(Form.make(v, a, terms))
+    system = FormSystem(field=PrimeField(p), v=v, forms=tuple(forms))
+    return system, draw(st.none() | st.integers(0, 9))
+
+
+class TestHilbertTableFromOneElimination:
+    """hilbert_table reads H(0..T) from the rank profile of M_T; the
+    per-degree ranks of hilbert_value are the reference."""
+
+    @given(systems_and_windows())
+    def test_matches_per_degree_ranks(self, case):
+        system, window = case
+        top = _search_window(system) if window is None else window
+        # the reference may rank M_top: keep it small
+        cols = sum(monomial_count(system.v, top - f.degree) for f in system.forms if f.degree <= top)
+        assume(monomial_count(system.v, top) * cols <= 250_000)
+        table = hilbert_table(system, window)
+        assert (table.values, table.first_zero) == per_degree_table(system, top)
+
+    def test_continues_one_degree_past_m0(self, monkeypatch):
+        # (x^2, x^2, y^2, z^2): the degree type (2, 2, 2, 2) has m0 = 3, but
+        # the repeated square makes this a complete intersection of three
+        # quadrics, which vanishes only at 4
+        def square(i):
+            return Form.make(3, 2, {tuple(2 * (j == i) for j in range(3)): 1})
+
+        system = FormSystem(field=F, v=3, forms=(square(0), square(0), square(1), square(2)))
+        assert smallest_zero(DegreeType(2, (2, 2, 2, 2))) == 3
+        shapes = record_eliminations(monkeypatch)
+        table = hilbert_table(system)
+        assert (table.values, table.first_zero) == ((1, 3, 3, 1, 0), 4)
+        # M_3: 4 * 3 products over 10 monomials; then M_4: 4 * 6 over 15
+        assert shapes == [(12, 10), (24, 15)]
+
+    def test_generic_3_6_10_is_one_elimination_at_m0(self, monkeypatch):
+        dt = DegreeType.constant(3, 6, 10)
+        system = random_form_system(4, dt.degrees, F, SplitMix64(1))
+        shapes = record_eliminations(monkeypatch)
+        table = hilbert_table(system, dt.total - dt.d)
+        assert table.first_zero == smallest_zero(dt) == 21
+        assert table.values == initial_segment(froeberg_series(dt, 21)).coeffs
+        # only M_21: 6 * C(14, 3) products over C(24, 3) monomials
+        assert shapes == [(6 * 364, 2024)]
 
 
 class TestFroebergCheck:
