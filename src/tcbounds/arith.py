@@ -245,6 +245,21 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     exact for every p < 2^31.  The pivot is the first nonzero entry of its
     column, so ranks, pivot columns and the pivot rows, all reduced into
     [0, p), are those of plain Gaussian elimination.
+
+    Each panel works only on rows rank..hi-1, where hi is one past the
+    last row at or below rank that is nonzero in any of the panel's
+    columns: the pivot search, the rank-one updates, the carried
+    multipliers and the block below them, and the zeroing of multipliers
+    all stop at hi.  Skipping the rows past hi is exact: their entries in
+    the panel's columns are exactly 0 and stay 0, since each update
+    subtracts a multiple of a row's own entry, so every multiplier there
+    is 0 and every update they would take subtracts 0.  A row past hi is
+    also never a pivot or swapped.  hi is read from the entries as stored,
+    unreduced, so an entry that is only a multiple of p keeps its row
+    inside the panel; hi is then larger than it need be, which is still
+    exact.  On a matrix whose rows are sorted by leading column (the
+    level-ordered Macaulay matrix of macaulay.hilbert_table) hi is that
+    staircase's step under the panel, and most rows are skipped.
     """
     cols, rows = g.shape
     if rows == 0 or cols == 0:
@@ -256,15 +271,19 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     def carry(start: int, end: int, t0: int, t: int) -> None:
         # pivots t0..t-1 of the current panel into columns start..end-1
         if t > t0 and start < end:
-            mult = g[pivots[rank + t0 : rank + t], rank + t0 :]
+            mult = g[pivots[rank + t0 : rank + t], rank + t0 : hi]
             ops = _panel_ops(mult[:, : t - t0], scales[t0:], p, eager)
-            top, below = g[start:end, rank + t0 : rank + t], g[start:end, rank + t :]
+            top, below = g[start:end, rank + t0 : rank + t], g[start:end, rank + t : hi]
             _apply_pivots(top, below, ops, mult[:, t - t0 :], p, split, eager)
 
     for panel_start in range(0, cols, block):
         if rank == rows:
             break
         panel_end = min(panel_start + block, cols)
+        live = np.flatnonzero(g[panel_start:panel_end, rank:].any(axis=0))
+        if live.size == 0:
+            continue
+        hi = rank + int(live[-1]) + 1
         scales: list[int] = []
         t = 0
         for sub_start in range(panel_start, panel_end, _SUB_BLOCK):
@@ -272,10 +291,10 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
             t0 = t
             for c in range(sub_start, sub_end):
                 r = rank + t
-                if r == rows:
+                if r == hi:
                     break
-                colv = g[c, r:] % p
-                g[c, r:] = colv
+                colv = g[c, r:hi] % p
+                g[c, r:hi] = colv
                 nz = np.flatnonzero(colv)
                 if nz.size == 0:
                     continue
@@ -286,16 +305,16 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
                 inv = pow(int(g[c, r]), p - 2, p)
                 g[c:sub_end, r] = g[c:sub_end, r] % p * inv % p
                 rest = g[c + 1 : sub_end]
-                rest[:, r + 1 :] -= rest[:, r, None] * g[c, None, r + 1 :]
+                rest[:, r + 1 : hi] -= rest[:, r, None] * g[c, None, r + 1 : hi]
                 if eager:
-                    rest[:, r + 1 :] %= p
+                    rest[:, r + 1 : hi] %= p
                 scales.append(inv)
                 pivots.append(c)
                 t += 1
             carry(sub_end, panel_end, t0, t)
         carry(panel_end, cols, 0, t)
         for j, c in enumerate(pivots[rank:]):
-            g[c, rank + j + 1 :] = 0
+            g[c, rank + j + 1 : hi] = 0
         rank += t
     return rank, pivots
 

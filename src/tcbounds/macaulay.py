@@ -14,6 +14,14 @@ m.  With the columns of M_T stably sorted by level, those columns are a
 prefix, and the pivot columns of Gaussian elimination are the
 lexicographically first column basis, so the rank of every prefix is the
 number of pivots in it (arith.fp_rank_profile).
+
+The rows of that M_T are sorted stably by level too, T - e_0 of their
+monomial.  A column of level l is a multiple of x_0^(T-l), so it is zero
+on every row of level above l: the matrix is a staircase, and the
+elimination skips the zero tail under each panel of columns (see
+arith._eliminate_blocked).  Permuting rows leaves the rank of every
+column prefix as it was, so the pivot columns, and every H(m), are those
+of M_T in canonical row order.  macaulay_matrix keeps canonical order.
 """
 
 from __future__ import annotations
@@ -47,6 +55,31 @@ __all__ = [
     "write_form_system",
     "read_form_system",
 ]
+
+
+# Cap on one matrix, in cells, compared before it is built: a Macaulay
+# matrix (dim P_m x products), or for a membership test its stacked shape,
+# (rows of J's product matrix + rows of I's product matrix) x dim P_m.  The
+# stacked matrix is not built either; its shape bounds the work from above,
+# since J's reduced echelon is kept as a rank J_m x dim R_m table and the
+# eliminated residual is (rows of I) x dim R_m.
+# The largest membership test in the suite, README and benchmark (Theorem B
+# on the Fermat cubic, p = 5, q = 25: stacked shape 5353 x 2926, 15.7M
+# cells, residual 2652 x 225) peaks at 58 MiB RSS in a fresh process,
+# 28 MiB above the interpreter with numpy and tcbounds loaded (measured).
+_MAX_CELLS = 2**26
+
+
+def _over_cap(rows: int, cols: int) -> bool:
+    return rows * cols > _MAX_CELLS
+
+
+def _check_cells(what: str, rows: int, cols: int) -> None:
+    if _over_cap(rows, cols):
+        raise PreconditionError(
+            f"{what} needs a {rows} x {cols} matrix "
+            f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -253,27 +286,37 @@ def product_support(form: Form, m: int) -> np.ndarray:
 
 def _product_columns(system: FormSystem, m: int, levelled: bool) -> tuple[np.ndarray, np.ndarray]:
     """The degree-m Macaulay matrix and the level m - e_0(mu) of each of
-    its columns mu * f_i.  Columns are generator-major with shifts in
-    canonical order, or when levelled that order stably sorted by level;
-    each product is written once, straight into its column."""
+    its columns mu * f_i.  Rows are the degree-m monomials and columns are
+    generator-major with shifts, both in canonical order; when levelled
+    each order is stably sorted by level, m - e_0 for a row.  The shape is
+    refused over the cap before anything is built, and each product is
+    written once, straight into its column."""
     if m < 0:
         raise PreconditionError(f"degree must be >= 0, got {m}")
     forms = [f for f in system.forms if f.degree <= m]
+    rows = monomial_count(system.v, m)
+    _check_cells(
+        f"Macaulay matrix in degree {m}",
+        rows,
+        sum(monomial_count(system.v, m - f.degree) for f in forms),
+    )
     levels = np.concatenate(
         [m - _partial_degrees(system.v, m - f.degree)[0] for f in forms]
         or [np.zeros(0, dtype=np.int64)]
     )
-    dest = np.arange(levels.size)
+    dest, row_dest = np.arange(levels.size), np.arange(rows)
     if levelled:
         order = np.argsort(levels, kind="stable")
         dest[order] = np.arange(levels.size)
         levels = levels[order]
-    out = np.zeros((monomial_count(system.v, m), levels.size), dtype=np.int64, order="F")
+        row_levels = m - _partial_degrees(system.v, m)[0]
+        row_dest[np.argsort(row_levels, kind="stable")] = np.arange(rows)
+    out = np.zeros((rows, levels.size), dtype=np.int64, order="F")
     col0 = 0
     for f in forms:
         support = product_support(f, m)
         cols = dest[col0 : col0 + support.shape[0]]
-        out[support, cols[:, None]] = [c for _, c in f.terms]
+        out[row_dest[support], cols[:, None]] = [c for _, c in f.terms]
         col0 += support.shape[0]
     return out, levels
 

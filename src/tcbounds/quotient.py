@@ -35,6 +35,7 @@ from .macaulay import (
     product_support,
     random_form_system,
 )
+from .macaulay import _check_cells, _over_cap
 
 __all__ = [
     "GradedQuotient",
@@ -51,17 +52,6 @@ __all__ = [
     "verify_theorem_c",
     "verify_theorem_b",
 ]
-
-# Cap on one membership test, in cells of its stacked shape: (rows of J's
-# product matrix + rows of I's product matrix) x dim P_m.  Neither matrix is
-# built; the shape bounds the work from above, since J's reduced echelon is
-# kept as a rank J_m x dim R_m table and the eliminated residual is
-# (rows of I) x dim R_m.
-# The largest test in the suite, README and benchmark (Theorem B on the
-# Fermat cubic, p = 5, q = 25: stacked shape 5353 x 2926, 15.7M cells,
-# residual 2652 x 225) peaks at 58 MiB RSS in a fresh process, 28 MiB
-# above the interpreter with numpy and tcbounds loaded (measured).
-_MAX_CELLS = 2**26
 
 
 class GradedQuotient:
@@ -212,18 +202,6 @@ def _stacked_shape(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> tu
     # product rows of J and of an ideal of the given degrees, over dim P_m
     rows = sum(monomial_count(ring.v, m - a) for a in ring.modulus.degrees + degrees if a <= m)
     return rows, monomial_count(ring.v, m)
-
-
-def _over_cap(rows: int, cols: int) -> bool:
-    return rows * cols > _MAX_CELLS
-
-
-def _check_cells(what: str, rows: int, cols: int) -> None:
-    if _over_cap(rows, cols):
-        raise PreconditionError(
-            f"{what} needs a {rows} x {cols} matrix "
-            f"({rows * cols} cells), over the cap of {_MAX_CELLS}"
-        )
 
 
 class MembershipOracle:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from tcbounds import arith
 from tcbounds.arith import (
     Echelon,
     PreconditionError,
@@ -22,12 +23,13 @@ from tcbounds.arith import (
 )
 from tcbounds.arith import (
     _BLOCK,
+    _SUB_BLOCK,
     _apply_pivots,
     _check_exact,
     _eliminate_blocked,
     _is_prime,
 )
-from tcbounds.macaulay import macaulay_matrix, random_form_system
+from tcbounds.macaulay import _product_columns, random_form_system
 
 
 def echelon_reference(matrix, p: int) -> tuple[int, list[int], list[list[int]]]:
@@ -297,16 +299,20 @@ MACAULAY_SHAPES = (
 
 @st.composite
 def kernel_matrices(draw, primes=KERNEL_PRIMES):
-    """(matrix, p): a Macaulay matrix of a random system, or a matrix of
-    rank at most k with zero rows, duplicated rows and zero columns mixed
-    in.  Widths straddle the panel width, so panel edges and the
-    rank == rows exit are reached."""
+    """(matrix, p): a Macaulay matrix of a random system, in canonical or
+    level order, or a matrix of rank at most k with zero rows, duplicated
+    rows and zero columns mixed in, optionally with its rows cut into a
+    staircase (sorted by leading column) and its bottom rows zeroed.
+    Widths straddle the panel width, so panel edges and the rank == rows
+    exit are reached; the staircase and zero bottom rows leave each panel
+    a zero tail for the kernel to skip."""
     p = draw(st.sampled_from(primes))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         v, degrees, m = draw(st.sampled_from(MACAULAY_SHAPES))
-        a = macaulay_matrix(random_form_system(v, degrees, PrimeField(p), SplitMix64(seed)), m)
+        system = random_form_system(v, degrees, PrimeField(p), SplitMix64(seed))
+        a = _product_columns(system, m, levelled=draw(st.booleans()))[0]
         return (a.T.copy() if draw(st.booleans()) else a), p
     rows = draw(st.sampled_from((40, 65, 70, 129)))
     cols = draw(st.sampled_from((63, 64, 65, 129)))
@@ -320,8 +326,15 @@ def kernel_matrices(draw, primes=KERNEL_PRIMES):
     dup = rng.random(rows) < 0.1
     a[dup] = a[rng.integers(0, rows, int(dup.sum()))]
     a[:, rng.random(cols) < 0.1] = 0
-    # unreduced representatives: the kernels reduce on entry
-    a += p * rng.integers(-2, 3, a.shape)
+    if draw(st.booleans()):
+        leads = np.sort(rng.integers(0, cols + 1, rows))
+        a[np.arange(cols) < leads[:, None]] = 0
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1)) :] = 0
+    # unreduced representatives: the kernels reduce on entry, and a zero
+    # tail that is only zero mod p must not be skipped
+    if draw(st.booleans()):
+        a += p * rng.integers(-2, 3, a.shape)
     return a, p
 
 
@@ -386,6 +399,44 @@ class TestKernelAgainstReference:
         b = a % p
         assert _eliminate_blocked(b.T, p, block) == (rank, pivots)
         assert b[:rank].tolist() == rows
+
+
+class TestZeroTail:
+    """Rows below the last one that is nonzero in a panel's columns would
+    take only zero updates, so no update of that panel reaches them."""
+
+    @pytest.mark.parametrize("p", [3, 32003, 2**31 - 1])
+    def test_updates_stop_at_the_last_nonzero_row(self, monkeypatch, p):
+        # panel k (columns 64k..64k+63) is nonzero exactly on the rows
+        # above 80(k+1); rows 240..259 are zero everywhere
+        rows, cols, step = 260, 3 * _BLOCK, 80
+        a = np.random.default_rng(15).integers(1, p, (rows, cols))
+        for k in range(3):
+            a[step * (k + 1) :, k * _BLOCK : (k + 1) * _BLOCK] = 0
+        rank, pivots, echelon = echelon_reference(a.tolist(), p)
+        # a pivot in every column: panel k starts at rank 64k
+        assert pivots == list(range(cols))
+        widths = []
+        apply_pivots = arith._apply_pivots
+
+        def recording(top, below, *args):
+            widths.append(below.shape[1])
+            return apply_pivots(top, below, *args)
+
+        monkeypatch.setattr(arith, "_apply_pivots", recording)
+        b = a.copy()
+        assert _eliminate_blocked(b.T, p) == (rank, pivots)
+        assert b[:rank].tolist() == echelon
+        # after t pivots of panel k, below spans rows 64k + t up to the
+        # panel's last nonzero row, 80(k+1) - 1; a sub-panel carries into
+        # the rest of its panel, a panel into the panels right of it
+        carried = range(_SUB_BLOCK, _BLOCK + 1, _SUB_BLOCK)
+        assert widths == [
+            step * (k + 1) - _BLOCK * k - t
+            for k in range(3)
+            for t in carried
+            if t < _BLOCK or k < 2
+        ]
 
 
 class TestBlockedExactness:

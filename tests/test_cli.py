@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 import venv
 from pathlib import Path
 
@@ -76,6 +77,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "no inclusion bound (n < d+1)" in err
+
+    def test_oversized_macaulay_matrix_refused(self):
+        # M_34 of six forms of degree 12 in 5 variables would be a
+        # 73815 x 89700 int64 matrix, 49 GiB: refused from binomials alone
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcbounds.cli", "verify", "hilbert",
+             "--d", "4", "--n", "6", "--a", "12"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: Macaulay matrix in degree 34 needs a 73815 x 89700")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_unknown_flag(self, capsys):
         code = cli.main(["froeberg", "--d", "2", "--n", "4", "--a", "10", "--bogus"])

@@ -23,7 +23,7 @@ from tcbounds.macaulay import (
     read_form_system,
     write_form_system,
 )
-from tcbounds.macaulay import _search_window
+from tcbounds.macaulay import _product_columns, _search_window
 
 F = PrimeField(32003)
 
@@ -391,6 +391,29 @@ class TestHilbertTableFromOneElimination:
         assume(monomial_count(system.v, top) * cols <= 250_000)
         table = hilbert_table(system, window)
         assert (table.values, table.first_zero) == per_degree_table(system, top)
+
+    @given(systems_and_windows())
+    def test_levelled_build_is_a_staircase(self, case):
+        system, window = case
+        top = _search_window(system) if window is None else window
+        cols = sum(monomial_count(system.v, top - f.degree) for f in system.forms if f.degree <= top)
+        assume(monomial_count(system.v, top) * cols <= 250_000)
+        matrix, levels = _product_columns(system, top, levelled=True)
+        # rows and columns of M_top, each stably sorted by level top - e_0
+        row_e0 = np.array([mono.exponents[0] for mono in monomials_of_degree(system.v, top)])
+        col_e0 = np.array([
+            mu.exponents[0]
+            for f in system.forms if f.degree <= top
+            for mu in monomials_of_degree(system.v, top - f.degree)
+        ], dtype=np.int64)
+        row_order = np.argsort(top - row_e0, kind="stable")
+        col_order = np.argsort(top - col_e0, kind="stable")
+        assert np.array_equal(matrix, macaulay_matrix(system, top)[row_order][:, col_order])
+        assert levels.tolist() == (top - col_e0[col_order]).tolist()
+        # a column of level l is divisible by x_0^(top - l): zero on every
+        # row whose e_0 is smaller
+        below = row_e0[row_order][:, None] < top - levels[None, :]
+        assert not matrix[below].any()
 
     def test_continues_one_degree_past_m0(self, monkeypatch):
         # (x^2, x^2, y^2, z^2): the degree type (2, 2, 2, 2) has m0 = 3, but
