@@ -251,10 +251,10 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     columns: the pivot search, the rank-one updates, the carried
     multipliers and the block below them, and the zeroing of multipliers
     all stop at hi.  Skipping the rows past hi is exact: their entries in
-    the panel's columns are exactly 0 and stay 0, since each update
-    subtracts a multiple of a row's own entry, so every multiplier there
-    is 0 and every update they would take subtracts 0.  A row past hi is
-    also never a pivot or swapped.  hi is read from the entries as stored,
+    the panel's columns are exactly 0 and stay 0, since a row takes each
+    update times its own entry in the pivot's column.  So every
+    multiplier there is 0, every update they would take subtracts 0, and
+    none of them is a pivot or swapped.  hi is read from the entries as stored,
     unreduced, so an entry that is only a multiple of p keeps its row
     inside the panel; hi is then larger than it need be, which is still
     exact.  On a matrix whose rows are sorted by leading column (the
