@@ -2,10 +2,11 @@
 
 Integers are Python ints throughout (arbitrary precision, never wrapped).
 Matrix ranks over a prime field use one hand-written Gaussian elimination,
-in place on an int64 copy stored by columns, with delayed modular
-reduction, exact for every p < 2^31: _check_exact derives from p, the
-panel width and the shape what keeps its float64 and int64 intermediates
-exact.
+in place on an int64 matrix stored by columns, one panel of columns at a
+time: rank-one updates inside the panel, then one blocked carry into the
+columns right of it, with delayed modular reduction.  It is exact for
+every p < 2^31: _check_exact derives from p, the panel width and the
+shape what keeps its float64 and int64 intermediates exact.
 """
 
 from __future__ import annotations
@@ -128,10 +129,9 @@ class SplitMix64:
 
 
 # _eliminate_blocked works on the column store in panels of _BLOCK
-# columns and sub-panels of _SUB_BLOCK columns, and updates the columns
-# right of a panel _CHUNK_ROWS at a time.
+# columns, and carries each panel's pivots into the columns right of it
+# _CHUNK_ROWS at a time.
 _BLOCK = 64
-_SUB_BLOCK = 16
 _CHUNK_ROWS = 256
 
 
@@ -228,13 +228,13 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     """Panel elimination with delayed reduction and blocked updates, in
     place on the column store g (g[c] is column c of the matrix).
 
-    Each panel of `block` columns is eliminated a sub-panel of _SUB_BLOCK
-    columns at a time, with rank-one updates inside the sub-panel.  One
-    carry step applies a sub-panel's pivots to the rest of its panel, and
-    a panel's pivots to the columns right of it: it makes the pivot rows
-    there final and clears the block below them.  Multipliers stay below
-    their pivots, as in LU, and are zeroed after the panel's carry.  On
-    return g[:, :rank].T are the echelon rows.
+    Each panel of `block` columns is eliminated column by column, with
+    rank-one updates across the rest of the panel.  Then one carry
+    applies the panel's pivots to the columns right of it (_panel_ops and
+    _apply_pivots; the last panel has none): it makes the pivot rows there
+    final and clears the block below them.  Multipliers stay below their
+    pivots, as in LU, and are zeroed after the carry.  On return
+    g[:, :rank].T are the echelon rows.
 
     Reduction mod p is delayed: an entry is reduced only where it is read,
     that is a column before its pivot search, a pivot row before it is
@@ -254,10 +254,10 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     the panel's columns are exactly 0 and stay 0, since a row takes each
     update times its own entry in the pivot's column.  So every
     multiplier there is 0, every update they would take subtracts 0, and
-    none of them is a pivot or swapped.  hi is read from the entries as stored,
-    unreduced, so an entry that is only a multiple of p keeps its row
-    inside the panel; hi is then larger than it need be, which is still
-    exact.  On a matrix whose rows are sorted by leading column (the
+    none of them is a pivot or swapped.  hi is read from the entries as
+    stored, unreduced, so an entry that is only a multiple of p keeps its
+    row inside the panel; hi is then larger than it need be, which is
+    still exact.  On a matrix whose rows are sorted by leading column (the
     level-ordered Macaulay matrix of macaulay.hilbert_table) hi is that
     staircase's step under the panel, and most rows are skipped.
     """
@@ -267,15 +267,6 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     split, eager = _check_exact(p, block, rows, cols)
     rank = 0
     pivots: list[int] = []
-
-    def carry(start: int, end: int, t0: int, t: int) -> None:
-        # pivots t0..t-1 of the current panel into columns start..end-1
-        if t > t0 and start < end:
-            mult = g[pivots[rank + t0 : rank + t], rank + t0 : hi]
-            ops = _panel_ops(mult[:, : t - t0], scales[t0:], p, eager)
-            top, below = g[start:end, rank + t0 : rank + t], g[start:end, rank + t : hi]
-            _apply_pivots(top, below, ops, mult[:, t - t0 :], p, split, eager)
-
     for panel_start in range(0, cols, block):
         if rank == rows:
             break
@@ -285,34 +276,33 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
             continue
         hi = rank + int(live[-1]) + 1
         scales: list[int] = []
-        t = 0
-        for sub_start in range(panel_start, panel_end, _SUB_BLOCK):
-            sub_end = min(sub_start + _SUB_BLOCK, panel_end)
-            t0 = t
-            for c in range(sub_start, sub_end):
-                r = rank + t
-                if r == hi:
-                    break
-                colv = g[c, r:hi] % p
-                g[c, r:hi] = colv
-                nz = np.flatnonzero(colv)
-                if nz.size == 0:
-                    continue
-                i0 = r + int(nz[0])
-                if i0 != r:
-                    # both rows are zero left of the panel
-                    g[panel_start:, [r, i0]] = g[panel_start:, [i0, r]]
-                inv = pow(int(g[c, r]), p - 2, p)
-                g[c:sub_end, r] = g[c:sub_end, r] % p * inv % p
-                rest = g[c + 1 : sub_end]
-                rest[:, r + 1 : hi] -= rest[:, r, None] * g[c, None, r + 1 : hi]
-                if eager:
-                    rest[:, r + 1 : hi] %= p
-                scales.append(inv)
-                pivots.append(c)
-                t += 1
-            carry(sub_end, panel_end, t0, t)
-        carry(panel_end, cols, 0, t)
+        for c in range(panel_start, panel_end):
+            r = rank + len(scales)
+            if r == hi:
+                break
+            colv = g[c, r:hi] % p
+            g[c, r:hi] = colv
+            nz = np.flatnonzero(colv)
+            if nz.size == 0:
+                continue
+            i0 = r + int(nz[0])
+            if i0 != r:
+                # both rows are zero left of the panel
+                g[panel_start:, [r, i0]] = g[panel_start:, [i0, r]]
+            inv = pow(int(g[c, r]), p - 2, p)
+            g[c:panel_end, r] = g[c:panel_end, r] % p * inv % p
+            rest = g[c + 1 : panel_end]
+            rest[:, r + 1 : hi] -= rest[:, r, None] * g[c, None, r + 1 : hi]
+            if eager:
+                rest[:, r + 1 : hi] %= p
+            scales.append(inv)
+            pivots.append(c)
+        t = len(scales)
+        if t and panel_end < cols:
+            mult = g[pivots[rank:], rank:hi]
+            ops = _panel_ops(mult[:, :t], scales, p, eager)
+            top, below = g[panel_end:, rank : rank + t], g[panel_end:, rank + t : hi]
+            _apply_pivots(top, below, ops, mult[:, t:], p, split, eager)
         for j, c in enumerate(pivots[rank:]):
             g[c, rank + j + 1 : hi] = 0
         rank += t

@@ -74,14 +74,16 @@ def froeberg_value(dt: DegreeType, m: int) -> int:
     """F(m): alternating sub-multiset sum, exact.
 
     Sub-multisets are enumerated by multiplicity vectors over the distinct
-    degrees, so repeated degrees cost polynomially, not 2^n.
+    degrees, so repeated degrees cost polynomially, not 2^n.  A degree a
+    is taken at most m // a times: a heavier sub-multiset has weight > m,
+    and its binomial is 0.
     """
     if m < 0:
         raise PreconditionError(f"m must be >= 0, got {m}")
     counts = Counter(dt.degrees)
     distinct = sorted(counts)
     total = 0
-    for mults in product(*(range(counts[a] + 1) for a in distinct)):
+    for mults in product(*(range(min(counts[a], m // a) + 1) for a in distinct)):
         size = sum(mults)
         weight = sum(k * a for k, a in zip(mults, distinct))
         term = binom(dt.d + m - weight, dt.d)

@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PreconditionError, PrimeField, SplitMix64, binom, fp_rank, fp_rank_profile
+from . import arith
+from .arith import PreconditionError, PrimeField, SplitMix64, binom, fp_rank
 from .froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 
 __all__ = [
@@ -364,23 +365,26 @@ def _search_window(system: FormSystem) -> int:
 
 def _top_degree(system: FormSystem, window: int) -> int:
     # min(m0, window) for the Froberg zero m0 of the nonzero forms: H(m) >=
-    # F+(m) > 0 below m0, so the first zero is never below this.  F is read
-    # from its series up to the window; it has no zero there when fewer
-    # than v forms have positive degree.  A nonzero constant vanishes at 0.
+    # F+(m) > 0 below m0, so the first zero is never below this.  F has no
+    # zero when fewer than v forms have positive degree.  A nonzero
+    # constant vanishes at 0.
     degrees = tuple(f.degree for f in system.forms if not f.is_zero)
     if 0 in degrees:
         return 0
-    if system.v < 2 or not degrees or window <= 0:
+    if system.v < 2 or len(degrees) < system.v:
         return window
-    series = froeberg_series(DegreeType(system.v - 1, degrees), window)
-    return next((m for m, c in enumerate(series.coeffs) if c <= 0), window)
+    return min(smallest_zero(DegreeType(system.v - 1, degrees)), window)
 
 
 def _hilbert_prefix(system: FormSystem, top: int) -> list[int]:
     # H(0..top) from one elimination of M_top in level order: rank M_m is
-    # the number of pivot columns of level <= m
+    # the number of pivot columns of level <= m.  The build is eliminated
+    # in place, with no reduced copy: it is a fresh array that nothing else
+    # holds, F-ordered so that its transpose is the C-ordered column store
+    # the kernel takes, and every entry is a coefficient that FormSystem
+    # has checked to lie in [0, p), where fp_rank_profile would put it.
     matrix, levels = _product_columns(system, top, levelled=True)
-    pivots = list(fp_rank_profile(matrix, system.field))
+    _, pivots = arith._eliminate_blocked(matrix.T, system.field.p)
     ranks = np.cumsum(np.bincount(levels[pivots], minlength=top + 1))
     return [monomial_count(system.v, m) - int(r) for m, r in enumerate(ranks)]
 

@@ -23,7 +23,6 @@ from tcbounds.arith import (
 )
 from tcbounds.arith import (
     _BLOCK,
-    _SUB_BLOCK,
     _apply_pivots,
     _check_exact,
     _eliminate_blocked,
@@ -369,8 +368,9 @@ class TestKernelAgainstReference:
         assert ech.rows.tolist() == rows
 
     def test_input_layouts_agree_and_are_left_unchanged(self):
-        # fp_rank and fp_echelon eliminate a reduced copy stored by columns,
-        # whatever the layout they are given; 150 x 140 spans three panels
+        # fp_rank, fp_rank_profile and fp_echelon eliminate a reduced copy
+        # stored by columns, whatever the layout they are given; 150 x 140
+        # spans three panels
         p = 97
         rng = np.random.default_rng(14)
         a = rng.integers(-2 * p, 2 * p, (150, 60)) @ rng.integers(0, 3, (60, 140))
@@ -382,6 +382,7 @@ class TestKernelAgainstReference:
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         for x in inputs:
             assert fp_rank(x, p) == rank
+            assert fp_rank_profile(x, p) == tuple(pivots)
             ech = fp_echelon(x, p)
             assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
             assert ech.rows.tolist() == rows
@@ -390,8 +391,8 @@ class TestKernelAgainstReference:
 
     @given(kernel_matrices(), st.sampled_from((8, 24, _BLOCK, 80)))
     def test_blocked_kernel(self, case, block):
-        # small and odd panel widths put panel and sub-panel edges at many
-        # columns of a small matrix
+        # small and odd panel widths put panel edges, and so carries, at
+        # many columns of a small matrix
         a, p = case
         # a panel of 80 columns is refused at 2^31 - 1 (TestBlockedExactness)
         assume(block <= _BLOCK or p < 2**31 - 1)
@@ -427,16 +428,10 @@ class TestZeroTail:
         b = a.copy()
         assert _eliminate_blocked(b.T, p) == (rank, pivots)
         assert b[:rank].tolist() == echelon
-        # after t pivots of panel k, below spans rows 64k + t up to the
-        # panel's last nonzero row, 80(k+1) - 1; a sub-panel carries into
-        # the rest of its panel, a panel into the panels right of it
-        carried = range(_SUB_BLOCK, _BLOCK + 1, _SUB_BLOCK)
-        assert widths == [
-            step * (k + 1) - _BLOCK * k - t
-            for k in range(3)
-            for t in carried
-            if t < _BLOCK or k < 2
-        ]
+        # one carry per panel but the last, into the panels right of it;
+        # after the 64 pivots of panel k, below spans rows 64k + 64 up to
+        # the panel's last nonzero row, 80(k+1) - 1
+        assert widths == [step * (k + 1) - _BLOCK * k - _BLOCK for k in (0, 1)]
 
 
 class TestBlockedExactness:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tcbounds import froeberg
-from tcbounds.arith import PreconditionError, SplitMix64, TruncatedSeries
+from tcbounds.arith import PreconditionError, SplitMix64, TruncatedSeries, binom
 from tcbounds.bounds import bound_report
 from tcbounds.froeberg import (
     DegreeType,
@@ -93,6 +93,20 @@ class TestFroebergValue:
     def test_rejects_negative_m(self):
         with pytest.raises(PreconditionError):
             froeberg_value(DegreeType(1, (2,)), -1)
+
+    def test_skips_sub_multisets_heavier_than_m(self, monkeypatch):
+        # twenty distinct degrees: of their 2^20 sub-multisets only {},
+        # {1}, {2} and {1, 2} take no degree a more than 2 // a times, and
+        # F(2) = C(3, 1) - C(2, 1) - C(1, 1) + C(0, 1)
+        calls = []
+
+        def counting(n, k):
+            calls.append(n)
+            return binom(n, k)
+
+        monkeypatch.setattr(froeberg, "binom", counting)
+        assert froeberg_value(DegreeType(1, tuple(range(1, 21))), 2) == 0
+        assert sorted(calls) == [0, 1, 2, 3]
 
 
 class TestFroebergSeries:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tcbounds import arith
+from tcbounds import arith, macaulay
 from tcbounds.arith import PreconditionError, PrimeField, SplitMix64
 from tcbounds.froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 from tcbounds.macaulay import (
@@ -439,6 +439,28 @@ class TestHilbertTableFromOneElimination:
         assert table.values == initial_segment(froeberg_series(dt, 21)).coeffs
         # only M_21: 6 * C(14, 3) products over C(24, 3) monomials
         assert shapes == [(6 * 364, 2024)]
+
+    def test_build_is_eliminated_in_place(self, monkeypatch):
+        # the kernel's column store is the levelled build itself, not a copy
+        system = random_form_system(3, (2, 2, 3), F, SplitMix64(5))
+        expected = per_degree_table(system, _search_window(system))[0]
+        built, stores = [], []
+        build, kernel = macaulay._product_columns, arith._eliminate_blocked
+
+        def recording_build(*args, **kwargs):
+            matrix, levels = build(*args, **kwargs)
+            built.append(matrix)
+            return matrix, levels
+
+        def recording_kernel(g, p, *args):
+            stores.append(g)
+            return kernel(g, p, *args)
+
+        monkeypatch.setattr(macaulay, "_product_columns", recording_build)
+        monkeypatch.setattr(arith, "_eliminate_blocked", recording_kernel)
+        assert hilbert_table(system).values == expected
+        assert len(stores) == len(built) == 1
+        assert np.shares_memory(stores[0], built[0])
 
 
 class TestFroebergCheck:
