@@ -13,7 +13,7 @@ is divisible by x_0^(T-m), that is whose level T - e_0(shift) is at most
 m.  With the columns of M_T stably sorted by level, those columns are a
 prefix, and the pivot columns of Gaussian elimination are the
 lexicographically first column basis, so the rank of every prefix is the
-number of pivots in it (arith.fp_rank_profile).
+number of pivots in it (the rank profile of arith._eliminate_blocked).
 
 The rows of that M_T are sorted stably by level too, T - e_0 of their
 monomial.  A column of level l is a multiple of x_0^(T-l), so it is zero
