@@ -1,4 +1,4 @@
-"""Exact integer, binomial, modular, and truncated-power-series arithmetic.
+"""Exact integer, binomial and modular arithmetic.
 
 Integers are Python ints throughout (arbitrary precision, never wrapped).
 Matrix ranks over a prime field use one hand-written Gaussian elimination,
@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "PreconditionError",
     "PrimeField",
-    "TruncatedSeries",
     "SplitMix64",
     "Echelon",
     "binom",
@@ -77,26 +76,6 @@ def _as_field(field_or_p: PrimeField | int) -> PrimeField:
     if isinstance(field_or_p, PrimeField):
         return field_or_p
     return PrimeField(int(field_or_p))
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer power series kept exactly up to a cutoff degree.
-
-    coeffs[m] is the degree-m coefficient; the cutoff is len(coeffs) - 1.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise PreconditionError("series needs at least the degree-0 coefficient")
-
-    def __getitem__(self, m: int) -> int:
-        return self.coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 class SplitMix64:
@@ -358,9 +337,6 @@ class Echelon:
                 v -= c * self.rows[i]
                 v %= self.p
         return v
-
-    def contains(self, vector) -> bool:
-        return not self.reduce(vector).any()
 
 
 def fp_echelon(matrix, field: PrimeField | int) -> Echelon:

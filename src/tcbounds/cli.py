@@ -215,9 +215,9 @@ def cmd_froeberg(args) -> Output:
     m0 = smallest_zero(dt)
     cutoff = max(dt.total - dt.d, 0)
     series = froeberg_series(dt, cutoff)
-    clipped = initial_segment(series).coeffs
+    clipped = initial_segment(series)
     rows = [[m, series[m], clipped[m]] for m in range(cutoff + 1)]
-    width = max(len(str(v)) for v in series.coeffs) + 6
+    width = max(len(str(v)) for v in series) + 6
     lines = [_type_line(dt), f"{'m':>4} {'F(m)':>{width}} {'F+(m)':>{width}}"]
     lines += [f"{m:>4} {f:>{width}} {f_plus:>{width}}" for m, f, f_plus in rows]
     lines.append(f"m0 = {m0}")
@@ -273,7 +273,7 @@ def _hilbert_single(args) -> Output:
     dt = DegreeType(system.v - 1, system.degrees)
     table = hilbert_table(system)
     series = froeberg_series(dt, len(table.values) - 1)
-    clipped = initial_segment(series).coeffs
+    clipped = initial_segment(series)
     rows = [[m, h, f] for m, (h, f) in enumerate(zip(table.values, clipped))]
     violations = [{"m": m, "hilbert": h, "predicted": f} for m, h, f in rows if h < f]
     equality = list(table.values) == list(clipped)
@@ -281,7 +281,7 @@ def _hilbert_single(args) -> Output:
     result = {
         "values": list(table.values),
         "first_zero": table.first_zero,
-        "predicted": list(series.coeffs),
+        "predicted": list(series),
         "predicted_clipped": list(clipped),
         "equality": equality,
         "violations": violations,

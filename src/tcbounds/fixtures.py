@@ -29,12 +29,12 @@ class Fixture:
 
 
 def _diagonal_hypersurface(v: int, k: int, p: int) -> GradedQuotient:
+    field = PrimeField(p)
     if k % p == 0:
         # char p | k kills every partial derivative: equation not smooth
         raise PreconditionError(
             f"characteristic {p} divides degree {k}: hypersurface not smooth"
         )
-    field = PrimeField(p)
     form = Form.make(
         v, k, {tuple(k if i == j else 0 for i in range(v)): 1 for j in range(v)}
     )
@@ -42,8 +42,17 @@ def _diagonal_hypersurface(v: int, k: int, p: int) -> GradedQuotient:
     return GradedQuotient(field, v, modulus)
 
 
+# name -> (degree k of x^k+y^k+z^k, the one prime the ring is defined
+# over, or None for any prime)
+_FERMAT = {
+    "fermat-cubic": (3, None),
+    "fermat-cubic-p2": (3, 2),
+    "fermat-quartic": (4, None),
+}
+
+
 def fixture_names() -> tuple[str, ...]:
-    return ("fermat-cubic", "fermat-cubic-p2", "fermat-quartic", "poly-ring")
+    return (*_FERMAT, "poly-ring")
 
 
 def make_fixture(name: str, p: int | None = None, d: int | None = None) -> Fixture:
@@ -54,37 +63,24 @@ def make_fixture(name: str, p: int | None = None, d: int | None = None) -> Fixtu
     fermat-quartic   x^4+y^4+z^4 in three variables (default p=32003)
     poly-ring        the polynomial ring in d+1 variables (requires d)
     """
-    if name == "fermat-cubic":
-        prime = DEFAULT_PRIME if p is None else p
+    prime = DEFAULT_PRIME if p is None else p
+    if name in _FERMAT:
+        k, only = _FERMAT[name]
+        if only is not None:
+            if p not in (None, only):
+                raise PreconditionError(f"{name} is defined over F_{only}, got p={p}")
+            prime = only
         return Fixture(
             name=name,
-            ring=_diagonal_hypersurface(3, 3, prime),
-            a_invariant=a_invariant_complete_intersection((3,), 3),
-            description=f"F_{prime}[x,y,z] / (x^3+y^3+z^3)",
-        )
-    if name == "fermat-cubic-p2":
-        if p not in (None, 2):
-            raise PreconditionError(f"fermat-cubic-p2 is defined over F_2, got p={p}")
-        return Fixture(
-            name=name,
-            ring=_diagonal_hypersurface(3, 3, 2),
-            a_invariant=a_invariant_complete_intersection((3,), 3),
-            description="F_2[x,y,z] / (x^3+y^3+z^3)",
-        )
-    if name == "fermat-quartic":
-        prime = DEFAULT_PRIME if p is None else p
-        return Fixture(
-            name=name,
-            ring=_diagonal_hypersurface(3, 4, prime),
-            a_invariant=a_invariant_complete_intersection((4,), 3),
-            description=f"F_{prime}[x,y,z] / (x^4+y^4+z^4)",
+            ring=_diagonal_hypersurface(3, k, prime),
+            a_invariant=a_invariant_complete_intersection((k,), 3),
+            description=f"F_{prime}[x,y,z] / (x^{k}+y^{k}+z^{k})",
         )
     if name == "poly-ring":
         if d is None:
             raise PreconditionError("poly-ring fixture needs d (builds d+1 variables)")
         if d < 1:
             raise PreconditionError(f"d must be >= 1, got d={d}")
-        prime = DEFAULT_PRIME if p is None else p
         v = d + 1
         return Fixture(
             name=name,

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .arith import PreconditionError, TruncatedSeries, binom
+from .arith import PreconditionError, binom
 
 __all__ = [
     "DegreeType",
@@ -96,8 +96,9 @@ def froeberg_value(dt: DegreeType, m: int) -> int:
     return total
 
 
-def froeberg_series(dt: DegreeType, cutoff: int) -> TruncatedSeries:
-    """Coefficients of prod(1 - t^(a_i)) / (1 - t)^(d+1) up to the cutoff.
+def froeberg_series(dt: DegreeType, cutoff: int) -> tuple[int, ...]:
+    """Coefficients of prod(1 - t^(a_i)) / (1 - t)^(d+1) up to the cutoff,
+    indexed by degree.
 
     Computed as a series, independently of froeberg_value; the two must
     agree coefficient by coefficient.  Each factor 1 - t^a is one in-place
@@ -112,10 +113,10 @@ def froeberg_series(dt: DegreeType, cutoff: int) -> TruncatedSeries:
             coeffs[m] -= coeffs[m - a]
     for _ in range(dt.d + 1):
         coeffs = list(accumulate(coeffs))
-    return TruncatedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def initial_segment(s: TruncatedSeries) -> TruncatedSeries:
+def initial_segment(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Initial non-negative segment: zero from the first non-positive
     coefficient onwards.
 
@@ -126,13 +127,8 @@ def initial_segment(s: TruncatedSeries) -> TruncatedSeries:
     once it vanishes. The pointwise clip max(0, F(m)) and this clip agree
     up to and including m0.
     """
-    out = []
-    alive = True
-    for c in s.coeffs:
-        if alive and c <= 0:
-            alive = False
-        out.append(c if alive else 0)
-    return TruncatedSeries(tuple(out))
+    cut = next((m for m, c in enumerate(coeffs) if c <= 0), len(coeffs))
+    return tuple(coeffs[:cut]) + (0,) * (len(coeffs) - cut)
 
 
 def smallest_zero(dt: DegreeType) -> int:

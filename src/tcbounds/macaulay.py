@@ -237,7 +237,7 @@ class FormSystem:
 def random_form(v: int, degree: int, field: PrimeField | int, rng: SplitMix64) -> Form:
     """Dense random form: one uniform residue per degree-`degree` monomial,
     drawn in canonical order; zero draws are simply not stored."""
-    fld = field if isinstance(field, PrimeField) else PrimeField(field)
+    fld = arith._as_field(field)
     if degree < 1:
         raise PreconditionError(f"degree must be >= 1, got {degree}")
     coeffs = {}
@@ -251,7 +251,7 @@ def random_form(v: int, degree: int, field: PrimeField | int, rng: SplitMix64) -
 def random_form_system(
     v: int, degrees: tuple[int, ...], field: PrimeField | int, rng: SplitMix64
 ) -> FormSystem:
-    fld = field if isinstance(field, PrimeField) else PrimeField(field)
+    fld = arith._as_field(field)
     return FormSystem(
         field=fld, v=v, forms=tuple(random_form(v, a, fld, rng) for a in degrees)
     )
@@ -469,12 +469,12 @@ def froeberg_check(
     """
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")
-    fld = field if isinstance(field, PrimeField) else PrimeField(field)
+    fld = arith._as_field(field)
     dt = DegreeType(d, degrees)
     v = d + 1
     window = max(dt.total - dt.d, 0)
     series = froeberg_series(dt, window)
-    clipped = initial_segment(series).coeffs
+    clipped = initial_segment(series)
     m0 = smallest_zero(dt) if dt.n >= dt.d + 1 else None
 
     results = []
@@ -499,7 +499,7 @@ def froeberg_check(
         trials=trials,
         window=window,
         m0=m0,
-        predicted=series.coeffs,
+        predicted=series,
         predicted_clipped=clipped,
         results=tuple(results),
         equality_rate=equality_rate,

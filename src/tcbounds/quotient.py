@@ -41,7 +41,6 @@ __all__ = [
     "GradedQuotient",
     "MembershipVerdict",
     "MembershipOracle",
-    "FrobeniusQuery",
     "WitnessScanReport",
     "TheoremCReport",
     "TheoremBReport",
@@ -242,7 +241,7 @@ class MembershipOracle:
                 raise PreconditionError(
                     f"element of degree {g.degree} in a degree-{self.degree} test"
                 )
-            contained = ech.contains(nf.products(g, self.degree)[0])
+            contained = not ech.reduce(nf.products(g, self.degree)[0]).any()
             rank_with = rank if contained else rank + 1
             out.append(MembershipVerdict(contained, self.degree, rank, rank_with))
         return out
@@ -277,36 +276,11 @@ def frobenius_power_ideal(ideal: FormSystem, q: int) -> FormSystem:
 
 
 @dataclass(frozen=True)
-class FrobeniusQuery:
-    """One tight-closure test instance: does witness * f^q land in I^[q]
-    for every listed q?  A passing witness is evidence for f in (I*R)^*,
-    never a certificate (the definition quantifies over almost all q)."""
-
-    f: Form
-    ideal: FormSystem
-    q_list: tuple[int, ...]
-    witness: Form | None = None
-
-    def __post_init__(self) -> None:
-        p = self.ideal.field.p
-        if not self.q_list:
-            raise PreconditionError("q_list must be nonempty")
-        for q in self.q_list:
-            _check_prime_power(q, p)
-        if self.witness is not None and self.witness.is_zero:
-            raise PreconditionError("witness must be nonzero")
-
-
-@dataclass(frozen=True)
 class WitnessScanReport:
-    query: FrobeniusQuery
+    q_list: tuple[int, ...]
     witnesses: tuple[Form, ...]
     verdicts: tuple[tuple[MembershipVerdict, ...], ...]
     passing: tuple[int, ...]
-
-    @property
-    def found(self) -> bool:
-        return bool(self.passing)
 
 
 def _q_powers(
@@ -344,7 +318,8 @@ def tight_witness_scan(
 ) -> WitnessScanReport:
     """Scan candidate witnesses u: u passes q iff u * f^q lies in
     (I^[q] + J) at degree deg u + q deg f.  A u passing every listed q is
-    recorded in `passing` (tight-closure evidence for f)."""
+    recorded in `passing`: evidence for f in (I*R)^*, never a certificate
+    (the definition quantifies over almost all q)."""
     if f.v != ring.v:
         raise PreconditionError("form variable count does not match ring")
     p = ring.field.p
@@ -362,6 +337,8 @@ def tight_witness_scan(
         if not q_list:
             raise PreconditionError("no usable q below the size cap; pass q_list")
     q_list = tuple(q_list)
+    if not q_list:
+        raise PreconditionError("q_list must be nonempty")
 
     # every test is sized before any is run
     tests = sorted({(q, u.degree + q * f.degree) for q in q_list for u in witnesses})
@@ -370,16 +347,8 @@ def tight_witness_scan(
     for u in witnesses:
         prods = [form_product(u, _frobenius_power_form(f, q), p) for q in q_list]
         rows.append(tuple(oracles[q, g.degree].verdicts([g])[0] for q, g in zip(q_list, prods)))
-    passing = [i for i, row in enumerate(rows) if all(verdict.contained for verdict in row)]
-
-    first = witnesses[passing[0]] if passing else None
-    query = FrobeniusQuery(f=f, ideal=ideal, q_list=q_list, witness=first)
-    return WitnessScanReport(
-        query=query,
-        witnesses=witnesses,
-        verdicts=tuple(rows),
-        passing=tuple(passing),
-    )
+    passing = tuple(i for i, row in enumerate(rows) if all(verdict.contained for verdict in row))
+    return WitnessScanReport(q_list, witnesses, tuple(rows), passing)
 
 
 @dataclass(frozen=True)

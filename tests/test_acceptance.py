@@ -24,6 +24,7 @@ from tcbounds.froeberg import (
     closed_form_dim1,
     closed_form_dim2,
     closed_form_parameter,
+    froeberg_series,
     smallest_zero,
 )
 from tcbounds.macaulay import (
@@ -105,6 +106,13 @@ def test_criterion_1_tables():
         info["detail"] = "three bound tables (a=10, d=1..3) bit-exact"
 
 
+def series_zero_at(dt, m0):
+    """Whether the first non-positive coefficient of the Froberg series is
+    the one at m0."""
+    series = froeberg_series(dt, m0)
+    return series[m0] <= 0 and all(c > 0 for c in series[:m0])
+
+
 def test_criterion_2_closed_forms():
     with criterion(2, budget=10.0) as info:
         rng = SplitMix64(2024)
@@ -113,21 +121,30 @@ def test_criterion_2_closed_forms():
             degrees = tuple(1 + rng.next_below(20) for _ in range(d + 1))
             dt = DegreeType(d, degrees)
             assert smallest_zero(dt) == closed_form_parameter(dt) == dt.total - d
+            assert series_zero_at(dt, dt.total - d), dt
         almost = 0
         for d in range(1, 7):
             for a in range(1, 51):
                 dt = DegreeType.constant(d, d + 2, a)
-                assert smallest_zero(dt) == closed_form_almost_parameter(dt)
+                m0 = closed_form_almost_parameter(dt)
+                assert smallest_zero(dt) == m0
+                assert series_zero_at(dt, m0), dt
                 almost += 1
         dim1 = 0
         for n in range(2, 31):
             for a in range(1, 51):
-                assert smallest_zero(DegreeType.constant(1, n, a)) == closed_form_dim1(n, a)
+                dt = DegreeType.constant(1, n, a)
+                m0 = closed_form_dim1(n, a)
+                assert smallest_zero(dt) == m0
+                assert series_zero_at(dt, m0), dt
                 dim1 += 1
         dim2 = 0
         for n in range(3, 31):
             for a in range(1, 51):
-                assert smallest_zero(DegreeType.constant(2, n, a)) == closed_form_dim2(n, a)
+                dt = DegreeType.constant(2, n, a)
+                m0 = closed_form_dim2(n, a)
+                assert smallest_zero(dt) == m0
+                assert series_zero_at(dt, m0), dt
                 dim2 += 1
         info["detail"] = (
             f"200 random parameter types, {almost} almost-parameter, "
@@ -237,9 +254,7 @@ def test_criterion_7_tight_closure_evidence():
         ideal = variables_ideal(ring, 2)
         z_squared = Form.make(3, 2, {(0, 0, 2): 1})
         rep = tight_witness_scan(ring, ideal, z_squared, q_list=(5, 25))
-        assert rep.found
-        assert rep.query.witness is not None
-        assert rep.query.q_list == (5, 25)
+        assert rep.q_list == (5, 25)
         assert rep.passing
         info["detail"] = (
             f"{len(rep.passing)} witnesses pass q in (5, 25) "

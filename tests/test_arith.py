@@ -15,7 +15,6 @@ from tcbounds.arith import (
     PreconditionError,
     PrimeField,
     SplitMix64,
-    TruncatedSeries,
     binom,
     fp_echelon,
     fp_rank,
@@ -105,12 +104,6 @@ class TestPrimeField:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(7).inv(0)
-
-
-class TestSeries:
-    def test_empty_series_rejected(self):
-        with pytest.raises(PreconditionError):
-            TruncatedSeries(())
 
 
 class TestSplitMix64:
@@ -233,11 +226,10 @@ class TestFpEchelon:
         for _ in range(10):
             coeffs = rng.integers(0, p, 5)
             member = (coeffs @ basis) % p
-            assert ech.contains(member)
+            assert not ech.reduce(member).any()
         outside = rng.integers(0, p, 12)
         # a random vector is outside a 5-dim subspace of F_p^12 w.h.p.
-        reduced = ech.reduce(outside)
-        assert ech.contains(outside) == (not reduced.any())
+        assert ech.reduce(outside).any()
 
     def test_reduce_is_idempotent(self):
         p = 101

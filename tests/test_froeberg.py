@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tcbounds import froeberg
-from tcbounds.arith import PreconditionError, SplitMix64, TruncatedSeries, binom
+from tcbounds.arith import PreconditionError, SplitMix64, binom
 from tcbounds.bounds import bound_report
 from tcbounds.froeberg import (
     DegreeType,
@@ -46,7 +46,7 @@ def scan_zero(dt: DegreeType) -> int:
 def series_zero(dt: DegreeType) -> int:
     """m0 as the first non-positive coefficient of the series."""
     series = froeberg_series(dt, dt.total - dt.d)
-    return next(m for m, c in enumerate(series.coeffs) if c <= 0)
+    return next(m for m, c in enumerate(series) if c <= 0)
 
 
 class TestDegreeType:
@@ -111,15 +111,13 @@ class TestFroebergValue:
 
 class TestFroebergSeries:
     def test_koszul_example(self):
-        s = froeberg_series(DegreeType(1, (2, 2)), 3)
-        assert s.coeffs == (1, 2, 1, 0)
+        assert froeberg_series(DegreeType(1, (2, 2)), 3) == (1, 2, 1, 0)
 
     def test_frozen_derived_series(self):
-        s = froeberg_series(DegreeType(2, (2, 2, 2, 2)), 3)
-        assert s.coeffs == (1, 3, 2, -2)
+        assert froeberg_series(DegreeType(2, (2, 2, 2, 2)), 3) == (1, 3, 2, -2)
 
     def test_coefficient_zero_is_one(self):
-        assert froeberg_series(DegreeType(3, (4, 9)), 0).coeffs == (1,)
+        assert froeberg_series(DegreeType(3, (4, 9)), 0) == (1,)
 
     def test_two_computation_paths_agree(self):
         rng = SplitMix64(5)
@@ -150,16 +148,16 @@ class TestFroebergSeries:
 
 class TestClips:
     def test_initial_segment(self):
-        assert initial_segment(TruncatedSeries((1, 3, -2, 4))).coeffs == (1, 3, 0, 0)
-        assert initial_segment(TruncatedSeries((1, 0, 5))).coeffs == (1, 0, 0)
-        assert initial_segment(TruncatedSeries((2, 1))).coeffs == (2, 1)
+        assert initial_segment((1, 3, -2, 4)) == (1, 3, 0, 0)
+        assert initial_segment((1, 0, 5)) == (1, 0, 0)
+        assert initial_segment((2, 1)) == (2, 1)
 
     def test_clips_agree_up_to_first_zero(self):
         dt = DegreeType.constant(3, 6, 10)
         series = froeberg_series(dt, dt.total - dt.d)
         m0 = smallest_zero(dt)
-        a = tuple(max(0, c) for c in series.coeffs)
-        b = initial_segment(series).coeffs
+        a = tuple(max(0, c) for c in series)
+        b = initial_segment(series)
         assert a[: m0 + 1] == b[: m0 + 1]
         # and they genuinely differ beyond it for this degree type
         assert a != b

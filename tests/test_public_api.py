@@ -3,9 +3,11 @@
 A name listed in a module's `__all__` must be used somewhere in the
 package or in the benchmark harness, other than by its own `def` or
 `class` and its `__all__` entry.  A use is a load of the name or of an
-attribute of that name.  Test files do not count: API that only tests
-call either gets a real caller or moves into the tests.  The sources are
-read as text and parsed; nothing is imported.
+attribute of that name.  Every public method and property of a class in
+`__all__` must be read too, as an attribute; dataclass fields are data,
+not API, and are not checked.  Test files do not count: API that only tests call
+either gets a real caller or moves into the tests.  The sources are read
+as text and parsed; nothing is imported.
 """
 
 from __future__ import annotations
@@ -35,25 +37,46 @@ def _exported(path: Path) -> list[str]:
     return []
 
 
-def _loads() -> set[str]:
-    names = set()
+def _members(path: Path) -> list[str]:
+    """Class.member for each public method and property of an exported class."""
+    exported = set(_exported(path))
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _loads() -> tuple[set[str], set[str]]:
+    """The names loaded, and the attribute names loaded, by the callers."""
+    names, attrs = set(), set()
     for path in CALLERS:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
 
 
 PUBLIC = [(path.stem, name) for path in PACKAGE for name in _exported(path)]
-USED = _loads()
+MEMBERS = [(path.stem, member) for path in PACKAGE for member in _members(path)]
+NAMES, ATTRS = _loads()
 
 
 def test_every_module_is_read():
     assert {stem for stem, _ in PUBLIC} >= {"arith", "bounds", "macaulay", "quotient"}
+    assert {stem for stem, _ in MEMBERS} >= {"arith", "froeberg", "macaulay", "quotient"}
 
 
 @pytest.mark.parametrize("module,name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
 def test_public_name_has_a_caller(module, name):
-    assert name in USED, f"tcbounds.{module}.{name} is used only by tests"
+    assert name in NAMES | ATTRS, f"tcbounds.{module}.{name} is used only by tests"
+
+
+@pytest.mark.parametrize("module,member", MEMBERS, ids=[f"{m}.{n}" for m, n in MEMBERS])
+def test_public_member_has_a_reader(module, member):
+    assert member.split(".")[1] in ATTRS, f"tcbounds.{module}.{member} is used only by tests"

@@ -22,7 +22,6 @@ from tcbounds.macaulay import (
     random_form_system,
 )
 from tcbounds.quotient import (
-    FrobeniusQuery,
     GradedQuotient,
     MembershipOracle,
     frobenius_power_ideal,
@@ -71,6 +70,17 @@ class TestFixtures:
     def test_default_prime(self):
         assert make_fixture("fermat-cubic").ring.field.p == DEFAULT_PRIME
 
+    def test_descriptions(self):
+        assert make_fixture("fermat-cubic", p=7).description == "F_7[x,y,z] / (x^3+y^3+z^3)"
+        assert make_fixture("fermat-cubic-p2").description == "F_2[x,y,z] / (x^3+y^3+z^3)"
+        assert make_fixture("fermat-quartic").description == "F_32003[x,y,z] / (x^4+y^4+z^4)"
+
+    def test_modulus_out_of_range_rejected(self):
+        # checked before the smoothness test, which would divide by p
+        for p in (0, 1):
+            with pytest.raises(PreconditionError, match="out of range"):
+                make_fixture("fermat-cubic", p=p)
+
     def test_singular_characteristic_rejected(self):
         with pytest.raises(PreconditionError, match="not smooth"):
             make_fixture("fermat-cubic", p=3)
@@ -79,7 +89,7 @@ class TestFixtures:
 
     def test_p2_fixture_pins_its_prime(self):
         assert make_fixture("fermat-cubic-p2", p=2).ring.field.p == 2
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="fermat-cubic-p2 is defined over F_2, got p=7"):
             make_fixture("fermat-cubic-p2", p=7)
 
     def test_poly_ring_needs_d(self):
@@ -257,21 +267,18 @@ class TestFrobeniusPowers:
         assert verdict.contained == (verdict.rank_without == verdict.rank_with)
 
 
-class TestFrobeniusQuery:
-    def test_validation(self, cubic5):
-        I = variables_ideal(cubic5.ring, 2)
-        f = monomial_form(3, (0, 0, 2))
-        q = FrobeniusQuery(f=f, ideal=I, q_list=(5, 25))
-        assert q.witness is None
-        with pytest.raises(PreconditionError):
-            FrobeniusQuery(f=f, ideal=I, q_list=())
-        with pytest.raises(PreconditionError):
-            FrobeniusQuery(f=f, ideal=I, q_list=(10,))
-        with pytest.raises(PreconditionError):
-            FrobeniusQuery(f=f, ideal=I, q_list=(5,), witness=Form.make(3, 1, {}))
-
-
 class TestWitnessScan:
+    def test_validation(self, cubic5):
+        # the q list must be nonempty and hold only powers of p
+        ring = cubic5.ring
+        I = variables_ideal(ring, 2)
+        f = monomial_form(3, (0, 0, 2))
+        u = monomial_form(3, (1, 0, 0))
+        with pytest.raises(PreconditionError, match="nonempty"):
+            tight_witness_scan(ring, I, f, witnesses=(u,), q_list=())
+        with pytest.raises(PreconditionError, match="not a power"):
+            tight_witness_scan(ring, I, f, witnesses=(u,), q_list=(10,))
+
     def test_variable_witnesses_pass(self, cubic5):
         # z^2 has the parameter degree a_1 + a_2, so it lies in the tight
         # closure of (x, y) and the scan must find a passing witness
@@ -284,12 +291,10 @@ class TestWitnessScan:
         report = tight_witness_scan(
             ring, I, monomial_form(3, (0, 0, 2)), witnesses=witnesses, q_list=(5, 25)
         )
-        assert report.found
         assert report.passing == (0, 1, 2)
         assert len(report.verdicts) == 3
         assert all(len(row) == 2 for row in report.verdicts)
-        assert report.query.witness == witnesses[0]
-        assert report.query.q_list == (5, 25)
+        assert report.q_list == (5, 25)
 
     def test_member_passes_with_every_witness(self, cubic5):
         ring = cubic5.ring
