@@ -5,9 +5,9 @@ package or in the benchmark harness, other than by its own `def` or
 `class` and its `__all__` entry.  A use is a load of the name or of an
 attribute of that name.  Every public method and property of a class in
 `__all__` must be read too, as an attribute; dataclass fields are data,
-not API, and are not checked.  Test files do not count: API that only tests call
-either gets a real caller or moves into the tests.  The sources are read
-as text and parsed; nothing is imported.
+not API, and are not checked.  Test files do not count: API that only
+tests call either gets a real caller or moves into the tests.  The
+sources are read as text and parsed; nothing is imported.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def _members(path: Path) -> list[str]:
         for cls in _tree(path).body
         if isinstance(cls, ast.ClassDef) and cls.name in exported
         for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
 
 
