@@ -108,7 +108,6 @@ def a_invariant_complete_intersection(relation_degrees: tuple[int, ...], v: int)
 class BoundReport:
     """All bounds for one degree type, with the hypothesis each one needs."""
 
-    degree_type: DegreeType
     m0: int
     tight: int
     frobenius: int
@@ -133,7 +132,6 @@ def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
     if improved is not None:
         names.append("semistable_frobenius")
     return BoundReport(
-        degree_type=dt,
         m0=m0,
         tight=tight,
         frobenius=frobenius,

@@ -348,7 +348,6 @@ def cmd_verify_theorem_c(args) -> Output:
     )
     params = _params(dt, args, fixture=fixture.name, p=fixture.ring.field.p,
                      redraws=args.redraws)
-    failures = [list(exps) for exps, ok in report.element_verdicts if not ok]
     result = {
         "fixture": fixture.name,
         "description": fixture.description,
@@ -356,8 +355,9 @@ def cmd_verify_theorem_c(args) -> Output:
         "a_invariant": report.a_invariant,
         "bound": report.bound,
         "draws": report.draws,
-        "basis_size": len(report.element_verdicts),
-        "failures": failures,
+        "basis_size": report.basis_size,
+        "inclusion_degree": report.inclusion_degree,
+        "deficit": report.deficit,
         "passed": report.passed,
         "system": write_form_system(report.system),
     }
@@ -366,11 +366,13 @@ def cmd_verify_theorem_c(args) -> Output:
         _type_line(dt),
         f"inclusion degree bound: {report.bound} "
         f"(m0 + d + 1 + a-invariant, a-invariant = {report.a_invariant})",
-        f"basis elements tested: {len(report.element_verdicts)}; draws: {report.draws}",
-        "PASS" if report.passed else f"FAIL (missing: {failures})",
+        f"dim R_{report.bound} = {report.basis_size}; draws: {report.draws}",
+        f"PASS (inclusion from degree {report.inclusion_degree})" if report.passed
+        else f"FAIL (deficit {report.deficit} in degree {report.bound})",
     ]
     tsv = [["key", "value"]]
-    tsv += [[key, result[key]] for key in ("bound", "draws", "basis_size", "passed")]
+    tsv += [[key, result[key]] for key in
+            ("bound", "draws", "basis_size", "inclusion_degree", "deficit", "passed")]
     return params, result, lines, tsv, EXIT_OK if report.passed else EXIT_FAIL
 
 

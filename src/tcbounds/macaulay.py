@@ -432,7 +432,6 @@ class FroebergCheckReport:
     agree up to and including m0.
     """
 
-    degree_type: DegreeType
     p: int
     seed: int
     trials: int
@@ -493,7 +492,6 @@ def froeberg_check(
                 )
     equality_rate = sum(1 for r in results if r.equality) / trials
     return FroebergCheckReport(
-        degree_type=dt,
         p=fld.p,
         seed=seed,
         trials=trials,

@@ -278,7 +278,6 @@ def frobenius_power_ideal(ideal: FormSystem, q: int) -> FormSystem:
 @dataclass(frozen=True)
 class WitnessScanReport:
     q_list: tuple[int, ...]
-    witnesses: tuple[Form, ...]
     verdicts: tuple[tuple[MembershipVerdict, ...], ...]
     passing: tuple[int, ...]
 
@@ -348,24 +347,26 @@ def tight_witness_scan(
         prods = [form_product(u, _frobenius_power_form(f, q), p) for q in q_list]
         rows.append(tuple(oracles[q, g.degree].verdicts([g])[0] for q, g in zip(q_list, prods)))
     passing = tuple(i for i, row in enumerate(rows) if all(verdict.contained for verdict in row))
-    return WitnessScanReport(q_list, witnesses, tuple(rows), passing)
+    return WitnessScanReport(q_list, tuple(rows), passing)
 
 
 @dataclass(frozen=True)
 class TheoremCReport:
-    """Ideal-inclusion verification: every monomial basis element of R at
-    degree m0 + d + 1 + a_invariant must lie in the drawn ideal.  This
-    statement is fully decidable at the given prime, so passed=False after
-    the retry budget means the configuration genuinely failed."""
+    """Ideal inclusion at C = m0 + d + 1 + a_invariant, on the last draw:
+    `basis_size` is dim R_C, `inclusion_degree` the first m <= C with R_m
+    in the ideal, or None, and `deficit` dim (R/IR)_C, 0 on a pass.  The
+    statement is decidable at the given prime, so passed=False after the
+    retry budget means the configuration failed."""
 
-    degree_type: DegreeType
     p: int
     a_invariant: int
     bound: int
     seed: int
     draws: int
     system: FormSystem
-    element_verdicts: tuple[tuple[tuple[int, ...], bool], ...]
+    basis_size: int
+    inclusion_degree: int | None
+    deficit: int
     passed: bool
 
 
@@ -383,8 +384,11 @@ def verify_theorem_c(
     seed: int,
     max_redraws: int = 8,
 ) -> TheoremCReport:
-    """Draw a random system of the degree type and test that all of R_B
-    lies in the ideal, B = m0 + d + 1 + a_invariant.
+    """Draw a random system of the degree type and test that all of R_C
+    lies in the ideal, C = m0 + d + 1 + a_invariant.  Since R/IR =
+    P/(J + I), R_m lies in it iff NF of the ideal's product rows has rank
+    dim R_m; the ranks are compared at m = 0, 1, ... up to the first full
+    one, the inclusion degree, after which R_{m+1} = R_1 * R_m is too.
 
     The statement holds for generic systems; a bad draw is redrawn from the
     same stream (bounded retries, draw count reported).
@@ -397,29 +401,26 @@ def verify_theorem_c(
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
     rng = SplitMix64(seed)
     draws = 0
-    system = None
-    verdicts: tuple[tuple[tuple[int, ...], bool], ...] = ()
-    passed = False
-    while draws < max_redraws and not passed:
+    degree = None
+    while draws < max_redraws and degree is None:
         draws += 1
         system = random_form_system(ring.v, dt.degrees, ring.field, rng)
-        oracle = MembershipOracle(ring, system, bound)
-        basis = ring_basis(ring, bound)
-        verdicts = tuple(
-            (mono.exponents, verdict.contained)
-            for mono, verdict in zip(basis, oracle.verdicts(basis))
-        )
-        passed = all(ok for _, ok in verdicts)
+        at_bound = MembershipOracle(ring, system, bound)  # refused here, before any work
+        oracles = [MembershipOracle(ring, system, m) for m in range(bound)] + [at_bound]
+        ranks = (oracle.echelon.rank for oracle in oracles)
+        degree = next((m for m, r in enumerate(ranks) if r == ring_dimension_at(ring, m)), None)
+    basis_size = ring_dimension_at(ring, bound)
     return TheoremCReport(
-        degree_type=dt,
         p=ring.field.p,
         a_invariant=a_invariant,
         bound=bound,
         seed=seed,
         draws=draws,
         system=system,
-        element_verdicts=verdicts,
-        passed=passed,
+        basis_size=basis_size,
+        inclusion_degree=degree,
+        deficit=0 if degree is not None else basis_size - at_bound.echelon.rank,
+        passed=degree is not None,
     )
 
 
@@ -430,7 +431,6 @@ class TheoremBReport:
     q_max worked.  Unresolved elements are open, not counterexamples:
     membership in the Frobenius closure only requires SOME power q."""
 
-    degree_type: DegreeType
     p: int
     bound: int
     q_max: int
@@ -486,7 +486,6 @@ def verify_theorem_b(
                 resolved[i] = q
     elements = tuple((b.exponents, r) for b, r in zip(basis, resolved))
     return TheoremBReport(
-        degree_type=dt,
         p=p,
         bound=bound,
         q_max=q_max,

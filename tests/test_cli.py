@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import os
@@ -108,21 +107,16 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_verification_failure_is_exit_three(self, capsys, monkeypatch):
-        # the inclusion statement is decidable and holds on every shipped
-        # fixture, so the failure path is exercised by faking the verdict
-        real = cli.verify_theorem_c
-
-        def failing(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), passed=False)
-
-        monkeypatch.setattr(cli, "verify_theorem_c", failing)
-        code, out, err = run_cli(
-            capsys, "verify", "theorem-c", "--fixture", "fermat-cubic",
-            "--n", "3", "--a", "2",
+    def test_verification_failure_is_exit_three(self, capsys):
+        # over F_2 the one allowed draw of three quadrics is not generic:
+        # R_4 is one dimension short of lying in the ideal
+        code, payload = run_json(
+            capsys, "verify", "theorem-c", "--fixture", "fermat-cubic-p2",
+            "--n", "3", "--a", "2", "--seed", "1", "--redraws", "1",
         )
         assert code == 3
-        assert "FAIL" in out
+        result = payload["result"]
+        assert (result["passed"], result["inclusion_degree"], result["deficit"]) == (False, None, 1)
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -394,7 +388,9 @@ class TestVerifyTheorems:
         )
         assert payload["result"]["system"].startswith("p=32003 v=3\n")
         assert payload["result"]["draws"] == 1
-        assert payload["result"]["failures"] == []
+        assert payload["result"]["bound"] == 4
+        assert payload["result"]["inclusion_degree"] == 3
+        assert payload["result"]["deficit"] == 0
 
     def test_theorem_b_default_parameter_ideal(self, capsys):
         code, payload = run_json(

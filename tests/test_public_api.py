@@ -4,10 +4,12 @@ A name listed in a module's `__all__` must be used somewhere in the
 package or in the benchmark harness, other than by its own `def` or
 `class` and its `__all__` entry.  A use is a load of the name or of an
 attribute of that name.  Every public method and property of a class in
-`__all__` must be read too, as an attribute; dataclass fields are data,
-not API, and are not checked.  Test files do not count: API that only
-tests call either gets a real caller or moves into the tests.  The
-sources are read as text and parsed; nothing is imported.
+`__all__` must be read too, as an attribute, and so must every field of
+an exported dataclass, either as an attribute or by its name in a string
+constant (callers such as `cli._BOUND_KEYS` read fields through
+`getattr`).  Test files do not count: API that only tests call either
+gets a real caller or moves into the tests.  The sources are read as
+text and parsed; nothing is imported.
 """
 
 from __future__ import annotations
@@ -49,26 +51,47 @@ def _members(path: Path) -> list[str]:
     ]
 
 
-def _loads() -> tuple[set[str], set[str]]:
-    """The names loaded, and the attribute names loaded, by the callers."""
-    names, attrs = set(), set()
+def _fields(path: Path) -> list[str]:
+    """Class.field for each field of an exported dataclass."""
+    exported = set(_exported(path))
+    return [
+        f"{cls.name}.{node.target.id}"
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        and any(
+            getattr(deco.func if isinstance(deco, ast.Call) else deco, "id", None) == "dataclass"
+            for deco in cls.decorator_list
+        )
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+    ]
+
+
+def _loads() -> tuple[set[str], set[str], set[str]]:
+    """The names loaded, the attribute names loaded, and the string
+    constants, in the callers."""
+    names, attrs, strings = set(), set(), set()
     for path in CALLERS:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
-    return names, attrs
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    return names, attrs, strings
 
 
 PUBLIC = [(path.stem, name) for path in PACKAGE for name in _exported(path)]
 MEMBERS = [(path.stem, member) for path in PACKAGE for member in _members(path)]
-NAMES, ATTRS = _loads()
+FIELDS = [(path.stem, field) for path in PACKAGE for field in _fields(path)]
+NAMES, ATTRS, STRINGS = _loads()
 
 
 def test_every_module_is_read():
     assert {stem for stem, _ in PUBLIC} >= {"arith", "bounds", "macaulay", "quotient"}
     assert {stem for stem, _ in MEMBERS} >= {"arith", "froeberg", "macaulay", "quotient"}
+    assert {stem for stem, _ in FIELDS} >= {"bounds", "fixtures", "macaulay", "quotient"}
 
 
 @pytest.mark.parametrize("module,name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
@@ -79,3 +102,9 @@ def test_public_name_has_a_caller(module, name):
 @pytest.mark.parametrize("module,member", MEMBERS, ids=[f"{m}.{n}" for m, n in MEMBERS])
 def test_public_member_has_a_reader(module, member):
     assert member.split(".")[1] in ATTRS, f"tcbounds.{module}.{member} is used only by tests"
+
+
+@pytest.mark.parametrize("module,field", FIELDS, ids=[f"{m}.{n}" for m, n in FIELDS])
+def test_dataclass_field_has_a_reader(module, field):
+    name = field.split(".")[1]
+    assert name in ATTRS | STRINGS, f"tcbounds.{module}.{field} is read only by tests"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from tcbounds import quotient
 from tcbounds.arith import PreconditionError, PrimeField, SplitMix64, fp_echelon, fp_rank
@@ -302,14 +304,15 @@ class TestWitnessScan:
         report = tight_witness_scan(
             ring, I, monomial_form(3, (2, 0, 0)), q_list=(5, 25)
         )
-        assert report.passing == tuple(range(len(report.witnesses)))
+        assert report.passing == tuple(range(len(report.verdicts)))
 
     def test_default_pool_is_monomials_up_to_degree_two(self, cubic5):
         ring = cubic5.ring
         I = variables_ideal(ring, 2)
         report = tight_witness_scan(ring, I, monomial_form(3, (0, 0, 2)), q_list=(5,))
-        assert len(report.witnesses) == 1 + 3 + 6
-        assert report.witnesses[0].degree == 0
+        # one row per witness; the first is 1, tested in degree 0 + 5 * 2
+        assert len(report.verdicts) == 1 + 3 + 6
+        assert report.verdicts[0][0].degree == 5 * 2
 
     def test_generator_as_witness_at_q_one(self, cubic7):
         ring = cubic7.ring
@@ -348,7 +351,7 @@ class TestTheoremC:
         report = verify_theorem_c(fx.ring, DegreeType(1, (2, 2, 2)), fx.a_invariant, seed=7)
         assert report.passed
         assert report.bound == 4
-        assert all(ok for _, ok in report.element_verdicts)
+        assert (report.basis_size, report.inclusion_degree, report.deficit) == (12, 3, 0)
 
     def test_fermat_quartic_four_cubics(self):
         fx = make_fixture("fermat-quartic")
@@ -360,17 +363,13 @@ class TestTheoremC:
 
     def test_parameter_case_strict_below_bound(self):
         # two generic quadrics on the cubic: inclusion holds at the bound 5
-        # and fails at 4 and at m0 + d - 1 = 3
+        # and fails at 4, hence also at m0 + d - 1 = 3
         fx = make_fixture("fermat-cubic")
         dt = DegreeType(1, (2, 2))
         report = verify_theorem_c(fx.ring, dt, fx.a_invariant, seed=7)
         assert report.passed
         assert report.bound == 5
-        system = report.system
-        for degree in (3, 4):
-            basis = ring_basis(fx.ring, degree)
-            verdicts = MembershipOracle(fx.ring, system, degree).verdicts(basis)
-            assert not all(verdict.contained for verdict in verdicts)
+        assert report.inclusion_degree == report.bound
 
     def test_retry_budget_on_impossible_bound(self):
         # a deliberately wrong a-invariant puts the bound below the true
@@ -380,7 +379,42 @@ class TestTheoremC:
         assert not report.passed
         assert report.bound == 4
         assert report.draws == 2
-        assert any(not ok for _, ok in report.element_verdicts)
+        assert report.inclusion_degree is None
+        assert report.deficit > 0
+
+    @given(
+        ring=st.sampled_from(
+            [
+                ("fermat-cubic", 5, 1),
+                ("fermat-cubic", 32003, 1),
+                ("fermat-cubic-p2", 2, 1),
+                ("fermat-quartic", 3, 1),
+                ("fermat-quartic", 32003, 1),
+                ("poly-ring", 2, 1),
+                ("poly-ring", 3, 2),
+            ]
+        ),
+        degrees=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(ring=("fermat-cubic-p2", 2, 1), degrees=[2, 2, 2], seed=1)
+    def test_rank_scan_against_hilbert_function(self, ring, degrees, seed):
+        # the independent route: P/(J + I) from one Macaulay table of J's and
+        # I's forms together, whose H(m) is dim R_m minus the rank the scan
+        # compares.  The explicit example misses 3 of 12 basis monomials of
+        # R_4 but only one dimension: its deficit is 1.
+        name, p, d = ring
+        assume(len(degrees) > d)
+        fx = make_fixture(name, p=p, d=d)
+        dt = DegreeType(d, tuple(sorted(degrees, reverse=True)))
+        report = verify_theorem_c(fx.ring, dt, fx.a_invariant, seed, max_redraws=1)
+        both = FormSystem(
+            field=fx.ring.field, v=fx.ring.v, forms=fx.ring.modulus.forms + report.system.forms
+        )
+        table = hilbert_table(both, window=report.bound)
+        assert report.inclusion_degree == table.first_zero
+        assert report.passed == (table.first_zero is not None)
+        assert report.deficit == (0 if report.passed else table.values[report.bound])
 
     def test_dimension_mismatch(self):
         fx = make_fixture("poly-ring", d=2)
