@@ -352,11 +352,10 @@ def tight_witness_scan(
 
 @dataclass(frozen=True)
 class TheoremCReport:
-    """Ideal inclusion at C = m0 + d + 1 + a_invariant, on the last draw:
-    `basis_size` is dim R_C, `inclusion_degree` the first m <= C with R_m
-    in the ideal, or None, and `deficit` dim (R/IR)_C, 0 on a pass.  The
-    statement is decidable at the given prime, so passed=False after the
-    retry budget means the configuration failed."""
+    """Ideal inclusion at C = m0 + d + 1 + a_invariant on the last draw:
+    dim R_C, the first m <= C with R_m in the ideal (or None), and dim
+    (R/IR)_C, 0 on a pass.  Decidable at the given prime, so passed=False
+    after the retry budget means the configuration failed."""
 
     p: int
     a_invariant: int
@@ -377,6 +376,12 @@ def _check_dimension(ring: GradedQuotient, dt: DegreeType) -> None:
         )
 
 
+def _deficit(ring: GradedQuotient, ideal: FormSystem, m: int) -> int:
+    """dim (R/IR)_m = dim R_m - rank of NF(I's product rows): 0 iff R_m is in I*R."""
+    oracle = MembershipOracle(ring, ideal, m)  # sized, or refused, before any work
+    return ring_dimension_at(ring, m) - oracle.echelon.rank
+
+
 def verify_theorem_c(
     ring: GradedQuotient,
     dt: DegreeType,
@@ -385,10 +390,8 @@ def verify_theorem_c(
     max_redraws: int = 8,
 ) -> TheoremCReport:
     """Draw a random system of the degree type and test that all of R_C
-    lies in the ideal, C = m0 + d + 1 + a_invariant.  Since R/IR =
-    P/(J + I), R_m lies in it iff NF of the ideal's product rows has rank
-    dim R_m; the ranks are compared at m = 0, 1, ... up to the first full
-    one, the inclusion degree, after which R_{m+1} = R_1 * R_m is too.
+    lies in the ideal, C = m0 + d + 1 + a_invariant.  R_{m+1} = R_1 * R_m,
+    so on a pass the inclusion degree is found by stepping down from C.
 
     The statement holds for generic systems; a bad draw is redrawn from the
     same stream (bounded retries, draw count reported).
@@ -405,11 +408,10 @@ def verify_theorem_c(
     while draws < max_redraws and degree is None:
         draws += 1
         system = random_form_system(ring.v, dt.degrees, ring.field, rng)
-        at_bound = MembershipOracle(ring, system, bound)  # refused here, before any work
-        oracles = [MembershipOracle(ring, system, m) for m in range(bound)] + [at_bound]
-        ranks = (oracle.echelon.rank for oracle in oracles)
-        degree = next((m for m, r in enumerate(ranks) if r == ring_dimension_at(ring, m)), None)
-    basis_size = ring_dimension_at(ring, bound)
+        deficit = _deficit(ring, system, bound)
+        degree = None if deficit else bound
+        while degree and not _deficit(ring, system, degree - 1):
+            degree -= 1
     return TheoremCReport(
         p=ring.field.p,
         a_invariant=a_invariant,
@@ -417,9 +419,9 @@ def verify_theorem_c(
         seed=seed,
         draws=draws,
         system=system,
-        basis_size=basis_size,
+        basis_size=ring_dimension_at(ring, bound),
         inclusion_degree=degree,
-        deficit=0 if degree is not None else basis_size - at_bound.echelon.rank,
+        deficit=deficit,
         passed=degree is not None,
     )
 
