@@ -104,7 +104,7 @@ def _add_output_flags(parser):
     parser.add_argument("--format", choices=("json", "tsv", "pretty"),
                         default="pretty", dest="fmt", help="output format")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=7, help="random seed (echoed)")
+    parser.add_argument("--seed", type=int, help="random seed (echoed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,9 +189,15 @@ def _read_system(path: str) -> FormSystem:
     return read_form_system(text)
 
 
+def _seed(args) -> int:
+    """--seed, 7 when not given (None marks it absent, so that
+    --ideal-file can refuse an explicit one)."""
+    return 7 if args.seed is None else args.seed
+
+
 def _params(dt: DegreeType, args, **extra) -> dict:
     """The parameters every command echoes, plus its own."""
-    return {"d": dt.d, "degrees": list(dt.degrees), "seed": args.seed, **extra}
+    return {"d": dt.d, "degrees": list(dt.degrees), "seed": _seed(args), **extra}
 
 
 def _fixture(args):
@@ -263,7 +269,7 @@ def cmd_table(args) -> Output:
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     lines = [f"d={table.d}, a={table.a}"]
     lines += ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
-    params = {"d": args.d, "a": args.a, "n_values": list(args.n), "seed": args.seed}
+    params = {"d": args.d, "a": args.a, "n_values": list(args.n), "seed": _seed(args)}
     tsv = [["name", *(str(n) for n in table.n_values), "limit"], *rows]
     return params, result, lines, tsv, EXIT_OK
 
@@ -302,13 +308,13 @@ def _hilbert_single(args) -> Output:
 def cmd_verify_hilbert(args) -> Output:
     prime = _flag_or_env(args.p, "TCBOUNDS_PRIME", DEFAULT_PRIME)
     if args.ideal_file is not None:
-        _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p", "trials")
+        _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p", "trials", "seed")
         return _hilbert_single(args)
     if args.d is None:
         raise UsageError("need --d (with --n/--a or --degrees), or --ideal-file")
     dt = _degree_type(args)
     trials = 20 if args.trials is None else args.trials
-    report = froeberg_check(dt.d, dt.degrees, PrimeField(prime), trials, args.seed)
+    report = froeberg_check(dt.d, dt.degrees, PrimeField(prime), trials, _seed(args))
     params = _params(dt, args, p=prime, trials=trials)
     result = {
         "window": report.window,
@@ -328,7 +334,7 @@ def cmd_verify_hilbert(args) -> Output:
         ],
     }
     lines = [
-        f"{_type_line(dt)}; p={prime}, trials={trials}, seed={args.seed}",
+        f"{_type_line(dt)}; p={prime}, trials={trials}, seed={_seed(args)}",
         f"m0 = {report.m0}",
         f"equality_rate {report.equality_rate}",
         f"first zeros observed: {sorted({r.first_zero for r in report.results})}",
@@ -344,7 +350,7 @@ def cmd_verify_theorem_c(args) -> Output:
     fixture = _fixture(args)
     dt = _degree_type(args)
     report = verify_theorem_c(
-        fixture.ring, dt, fixture.a_invariant, args.seed, max_redraws=args.redraws
+        fixture.ring, dt, fixture.a_invariant, _seed(args), max_redraws=args.redraws
     )
     params = _params(dt, args, fixture=fixture.name, p=fixture.ring.field.p,
                      redraws=args.redraws)
@@ -381,7 +387,7 @@ def cmd_verify_theorem_b(args) -> Output:
     ring = fixture.ring
     ideal = None
     if args.ideal_file is not None:
-        _refuse_with_ideal_file(args, "n", "a", "degrees")
+        _refuse_with_ideal_file(args, "n", "a", "degrees", "seed")
         ideal = _read_system(args.ideal_file)
         dt = DegreeType(args.d, ideal.degrees)
     elif args.degrees is None and args.n is None and args.a is None:
@@ -390,7 +396,7 @@ def cmd_verify_theorem_b(args) -> Output:
         dt = DegreeType(args.d, (1,) * ring.krull_dimension)
     else:
         dt = _degree_type(args)
-    report = verify_theorem_b(ring, dt, q_max=args.qmax, seed=args.seed, ideal=ideal)
+    report = verify_theorem_b(ring, dt, q_max=args.qmax, seed=_seed(args), ideal=ideal)
     params = _params(dt, args, fixture=fixture.name, p=ring.field.p, qmax=report.q_max,
                      ideal_file=args.ideal_file)
     result = {

@@ -36,7 +36,6 @@ from .arith import PreconditionError, PrimeField, SplitMix64, binom, fp_rank
 from .froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 
 __all__ = [
-    "Monomial",
     "Form",
     "FormSystem",
     "HilbertTable",
@@ -83,28 +82,6 @@ def _check_cells(what: str, rows: int, cols: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial given by its exponent vector."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
-            raise PreconditionError(f"negative exponent in {self.exponents}")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def v(self) -> int:
-        return len(self.exponents)
-
-    def __pow__(self, q: int) -> "Monomial":
-        return Monomial(tuple(e * q for e in self.exponents))
-
-
 @lru_cache(maxsize=None)
 def _exponent_tuples(v: int, m: int) -> tuple[tuple[int, ...], ...]:
     # canonical order: ascending lexicographic on the reversed exponent
@@ -126,14 +103,14 @@ def monomial_count(v: int, m: int) -> int:
     return binom(m + v - 1, v - 1)
 
 
-def monomials_of_degree(v: int, m: int) -> list[Monomial]:
-    """All monomials in v variables of total degree m, in a fixed order
-    (descending degrevlex), stable across runs."""
+def monomials_of_degree(v: int, m: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of all monomials in v variables of total degree
+    m, in a fixed order (descending degrevlex), stable across runs."""
     if v < 1:
         raise PreconditionError(f"need at least one variable, got v={v}")
     if m < 0:
         raise PreconditionError(f"degree must be >= 0, got m={m}")
-    return [Monomial(e) for e in _exponent_tuples(v, m)]
+    return list(_exponent_tuples(v, m))
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +409,6 @@ class FroebergCheckReport:
     agree up to and including m0.
     """
 
-    p: int
-    seed: int
-    trials: int
     window: int
     m0: int | None
     predicted: tuple[int, ...]
@@ -492,9 +466,6 @@ def froeberg_check(
                 )
     equality_rate = sum(1 for r in results if r.equality) / trials
     return FroebergCheckReport(
-        p=fld.p,
-        seed=seed,
-        trials=trials,
         window=window,
         m0=m0,
         predicted=series,

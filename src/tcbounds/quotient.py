@@ -28,7 +28,6 @@ from .froeberg import DegreeType
 from .macaulay import (
     Form,
     FormSystem,
-    Monomial,
     form_product,
     monomial_count,
     monomials_of_degree,
@@ -179,9 +178,10 @@ def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
     return ring.relation_echelon(m).table.shape[1]
 
 
-def ring_basis(ring: GradedQuotient, m: int) -> list[Monomial]:
-    """Monomials whose classes form a basis of R_m: those that no leading
-    monomial of J divides, the non-pivot coordinates of J_m's echelon."""
+def ring_basis(ring: GradedQuotient, m: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the monomials whose classes form a basis of R_m:
+    those that no leading monomial of J divides, the non-pivot coordinates
+    of J_m's echelon."""
     pivot = ring.relation_echelon(m).pivot
     return [mono for mono, piv in zip(monomials_of_degree(ring.v, m), pivot) if not piv]
 
@@ -227,14 +227,12 @@ class MembershipOracle:
         residual += [nf.products(g, self.degree) for g in self.ideal.forms]
         return fp_echelon(np.concatenate(residual), self.ring.field)
 
-    def verdicts(self, elements) -> list[MembershipVerdict]:
-        """One verdict per element, each a degree-m Form or Monomial."""
+    def verdicts(self, elements: list[Form]) -> list[MembershipVerdict]:
+        """One verdict per element, each a Form of degree m."""
         nf, ech = self.ring.relation_echelon(self.degree), self.echelon
         rank = nf.table.shape[0] + ech.rank  # rank J_m + rank of the residual
         out = []
         for g in elements:
-            if isinstance(g, Monomial):
-                g = Form(v=g.v, degree=g.degree, terms=((g.exponents, 1),))
             if g.v != self.ring.v:
                 raise PreconditionError("form variable count does not match ring")
             if g.degree != self.degree:
@@ -282,15 +280,13 @@ class WitnessScanReport:
     passing: tuple[int, ...]
 
 
-def _q_powers(
-    ring: GradedQuotient, ideal: FormSystem, q_max: int, base: int, shift: int
-) -> tuple[int, ...]:
+def _q_powers(ring: GradedQuotient, ideal: FormSystem, q_max: int, base: int) -> tuple[int, ...]:
     """q = p, p^2, ... up to q_max, stopping at the first q whose test in
-    (I^[q] + J) at degree q * base + shift would exceed the size cap."""
+    (I^[q] + J) at degree q * base would exceed the size cap."""
     qs = []
     q = ring.field.p
     while q <= q_max:
-        shape = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base + shift)
+        shape = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base)
         if _over_cap(*shape):
             break
         qs.append(q)
@@ -304,7 +300,7 @@ def _default_witnesses(v: int) -> tuple[Form, ...]:
     pool = []
     for deg in (0, 1, 2):
         for mono in monomials_of_degree(v, deg):
-            pool.append(Form(v=v, degree=deg, terms=((mono.exponents, 1),)))
+            pool.append(Form(v=v, degree=deg, terms=((mono, 1),)))
     return tuple(pool)
 
 
@@ -312,13 +308,14 @@ def tight_witness_scan(
     ring: GradedQuotient,
     ideal: FormSystem,
     f: Form,
+    q_list: tuple[int, ...],
     witnesses: tuple[Form, ...] | None = None,
-    q_list: tuple[int, ...] | None = None,
 ) -> WitnessScanReport:
-    """Scan candidate witnesses u: u passes q iff u * f^q lies in
-    (I^[q] + J) at degree deg u + q deg f.  A u passing every listed q is
-    recorded in `passing`: evidence for f in (I*R)^*, never a certificate
-    (the definition quantifies over almost all q)."""
+    """Scan candidate witnesses u over the given nonempty list of powers q
+    of p: u passes q iff u * f^q lies in (I^[q] + J) at degree
+    deg u + q deg f.  A u passing every listed q is recorded in `passing`:
+    evidence for f in (I*R)^*, never a certificate (the definition
+    quantifies over almost all q)."""
     if f.v != ring.v:
         raise PreconditionError("form variable count does not match ring")
     p = ring.field.p
@@ -330,11 +327,6 @@ def tight_witness_scan(
             raise PreconditionError("witness must be nonzero")
         if u.v != ring.v:
             raise PreconditionError("witness variable count does not match ring")
-    if q_list is None:
-        top = max((u.degree for u in witnesses), default=0)
-        q_list = _q_powers(ring, ideal, p**4, f.degree, top)
-        if not q_list:
-            raise PreconditionError("no usable q below the size cap; pass q_list")
     q_list = tuple(q_list)
     if not q_list:
         raise PreconditionError("q_list must be nonempty")
@@ -360,7 +352,6 @@ class TheoremCReport:
     p: int
     a_invariant: int
     bound: int
-    seed: int
     draws: int
     system: FormSystem
     basis_size: int
@@ -416,7 +407,6 @@ def verify_theorem_c(
         p=ring.field.p,
         a_invariant=a_invariant,
         bound=bound,
-        seed=seed,
         draws=draws,
         system=system,
         basis_size=ring_dimension_at(ring, bound),
@@ -437,7 +427,6 @@ class TheoremBReport:
     bound: int
     q_max: int
     q_list: tuple[int, ...]
-    seed: int
     ideal: FormSystem
     elements: tuple[tuple[tuple[int, ...], int | None], ...]
     all_resolved: bool
@@ -472,27 +461,27 @@ def verify_theorem_b(
         )
     bound = generic_frobenius_bound(dt)
 
-    q_list = (1,) + _q_powers(ring, ideal, q_max, bound, 0)
+    q_list = (1,) + _q_powers(ring, ideal, q_max, bound)
     # every test is sized before any is run
     oracles = [MembershipOracle(ring, ideal, q * bound, q) for q in q_list]
 
     basis = ring_basis(ring, bound)
+    forms = [Form(v=ring.v, degree=bound, terms=((b, 1),)) for b in basis]
     resolved: list[int | None] = [None] * len(basis)
     for q, oracle in zip(q_list, oracles):
         open_indices = [i for i, r in enumerate(resolved) if r is None]
         if not open_indices:
             break
-        found = oracle.verdicts([basis[i] ** q for i in open_indices])
+        found = oracle.verdicts([_frobenius_power_form(forms[i], q) for i in open_indices])
         for i, verdict in zip(open_indices, found):
             if verdict.contained:
                 resolved[i] = q
-    elements = tuple((b.exponents, r) for b, r in zip(basis, resolved))
+    elements = tuple(zip(basis, resolved))
     return TheoremBReport(
         p=p,
         bound=bound,
         q_max=q_max,
         q_list=q_list,
-        seed=seed,
         ideal=ideal,
         elements=elements,
         all_resolved=all(r is not None for _, r in elements),

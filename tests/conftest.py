@@ -18,6 +18,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from tcbounds.macaulay import Form
+
 settings.register_profile(
     "tcbounds", derandomize=True, deadline=None, max_examples=50, database=None
 )
@@ -33,3 +35,8 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+def monomial_form(v, exps, coeff=1):
+    """The one-term form coeff * x^exps in v variables."""
+    return Form.make(v, sum(exps), {tuple(exps): coeff})

@@ -29,7 +29,6 @@ from tcbounds.froeberg import (
 )
 from tcbounds.macaulay import (
     Form,
-    Monomial,
     froeberg_check,
     hilbert_table,
 )
@@ -231,9 +230,10 @@ def test_criterion_6_frobenius_closure_evidence():
         assert rep.all_resolved
         assert all(q is not None and q <= 4 for _, q in rep.elements)
         # hand check: z^4 = z*(x^3+y^3) = x^2(xz) + y^2(yz) lies in (x^2,y^2)
-        z_squared = Monomial((0, 0, 2))
+        z_squared = Form.make(3, 2, {(0, 0, 2): 1})
+        z_fourth = Form.make(3, 4, {(0, 0, 4): 1})
         assert not MembershipOracle(ring, ideal, 2, 1).verdicts([z_squared])[0].contained
-        assert MembershipOracle(ring, ideal, 4, 2).verdicts([z_squared**2])[0].contained
+        assert MembershipOracle(ring, ideal, 4, 2).verdicts([z_fourth])[0].contained
         assert "not" in rep.note and "counterexample" in rep.note
         info["detail"] = (
             "all R_3 basis elements over F_2 resolve at q <= 4; "

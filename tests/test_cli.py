@@ -303,15 +303,24 @@ class TestVerifyHilbert:
             assert err.startswith("usage error: pass either --ideal-file or "), flag
 
     def test_ideal_file_refuses_trials(self, capsys, tmp_path):
-        # one explicit system is checked, so a trial count would be ignored;
-        # 20, the count random trials take by default, is refused too
+        # one explicit system is checked, so a trial count or a seed would
+        # be ignored; 20 trials and seed 7, the defaults, are refused too
         path = tmp_path / "squares.txt"
         path.write_text("p=32003 v=2\n2; 2 0:1\n2; 0 2:1\n")
+        base = ["verify", "hilbert", "--ideal-file", str(path), "--format", "json"]
         for trials in ("5", "20"):
-            code, out, err = run_cli(capsys, "verify", "hilbert", "--ideal-file", str(path),
-                                     "--trials", trials, "--seed", "3", "--format", "json")
+            code, out, err = run_cli(capsys, *base, "--trials", trials)
             assert (code, out) == (2, ""), trials
             assert err == "usage error: pass either --ideal-file or --trials, not both\n"
+        for seed in ("3", "7"):
+            code, out, err = run_cli(capsys, *base, "--seed", seed)
+            assert (code, out) == (2, ""), seed
+            assert err == "usage error: pass either --ideal-file or --seed, not both\n"
+        code, out, err = run_cli(capsys, *base, "--trials", "5", "--seed", "3")
+        assert (code, out) == (2, "")
+        assert err == "usage error: pass either --ideal-file or --trials/--seed, not both\n"
+        code, payload = run_json(capsys, "verify", "hilbert", "--ideal-file", str(path))
+        assert (code, payload["params"]["seed"]) == (0, 7)
 
     def test_trials_default_to_twenty(self, capsys):
         code, payload = run_json(capsys, "verify", "hilbert", "--d", "1", "--n", "3", "--a", "2")
@@ -425,6 +434,11 @@ class TestVerifyTheorems:
             code, out, err = run_cli(capsys, *base, *flags)
             assert (code, out) == (2, ""), flags
             assert err.startswith("usage error: pass either --ideal-file or --"), flags
+        # the ideal is given, so no draw reads a seed
+        for seed in ("3", "7"):
+            code, out, err = run_cli(capsys, *base, "--seed", seed)
+            assert (code, out) == (2, ""), seed
+            assert err == "usage error: pass either --ideal-file or --seed, not both\n"
 
     def test_oversized_test_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given
+from conftest import monomial_form
 from hypothesis import strategies as st
 
-from tcbounds import arith, macaulay
+from tcbounds import arith, macaulay, quotient
 from tcbounds.arith import PreconditionError, PrimeField, SplitMix64
 from tcbounds.froeberg import DegreeType, froeberg_series, initial_segment, smallest_zero
 from tcbounds.macaulay import (
     Form,
     FormSystem,
-    Monomial,
     froeberg_check,
     hilbert_table,
     hilbert_value,
@@ -39,15 +39,15 @@ def powers_system(a, p=32003):
 
 class TestMonomials:
     def test_two_vars_degree_two(self):
-        got = [m.exponents for m in monomials_of_degree(2, 2)]
+        got = monomials_of_degree(2, 2)
         assert got == [(2, 0), (1, 1), (0, 2)]
 
     def test_three_vars_degree_two(self):
-        got = [m.exponents for m in monomials_of_degree(3, 2)]
+        got = monomials_of_degree(3, 2)
         assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
     def test_degree_zero(self):
-        assert [m.exponents for m in monomials_of_degree(3, 0)] == [(0, 0, 0)]
+        assert monomials_of_degree(3, 0) == [(0, 0, 0)]
 
     def test_count(self):
         assert len(monomials_of_degree(3, 10)) == 66
@@ -56,19 +56,19 @@ class TestMonomials:
                 assert len(monomials_of_degree(v, m)) == monomial_count(v, m)
 
     def test_order_is_ascending_lex_on_reversed_tuple(self):
-        monos = [m.exponents for m in monomials_of_degree(4, 3)]
-        rev = [tuple(reversed(e)) for e in monos]
+        rev = [tuple(reversed(e)) for e in monomials_of_degree(4, 3)]
         assert rev == sorted(rev)
 
     def test_mul_pow_degree(self):
-        x2y = Monomial((2, 1, 0))
-        assert (x2y**3).exponents == (6, 3, 0)
+        # a monomial's q-th power is its Frobenius power as a one-term form
+        x2y = monomial_form(3, (2, 1, 0))
+        assert quotient._frobenius_power_form(x2y, 3).terms == (((6, 3, 0), 1),)
         assert x2y.degree == 3
         assert x2y.v == 3
 
     def test_negative_exponent(self):
         with pytest.raises(PreconditionError):
-            Monomial((1, -1))
+            Form(v=2, degree=0, terms=(((1, -1), 1),))
 
     def test_bad_args(self):
         with pytest.raises(PreconditionError):
@@ -124,10 +124,10 @@ class TestForm:
     def test_product_support_by_exponents(self, v, m):
         rng = SplitMix64(3)
         f = random_form(v, 1, 7, rng)
-        index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, m))}
+        index = {mono: i for i, mono in enumerate(monomials_of_degree(v, m))}
         shifts = monomials_of_degree(v, m - 1)
         expected = [
-            [index[tuple(a + b for a, b in zip(mu.exponents, exps))] for exps, _ in f.terms]
+            [index[tuple(a + b for a, b in zip(mu, exps))] for exps, _ in f.terms]
             for mu in shifts
         ]
         assert product_support(f, m).tolist() == expected
@@ -146,7 +146,7 @@ class TestForm:
 
     @pytest.mark.parametrize("v,degree", [(1, 3), (2, 7), (3, 4), (5, 3), (9, 2)])
     def test_make_orders_terms_like_index_dict(self, v, degree):
-        index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, degree))}
+        index = {mono: i for i, mono in enumerate(monomials_of_degree(v, degree))}
         rng = SplitMix64(v * 100 + degree)
         monos = list(index)
         for _ in range(20):
@@ -259,13 +259,13 @@ class TestMacaulayMatrix:
         rng = SplitMix64(9)
         for v, degrees, m in cases:
             system = random_form_system(v, degrees, F, rng)
-            index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(v, m))}
+            index = {mono: i for i, mono in enumerate(monomials_of_degree(v, m))}
             expected = np.zeros((len(index), 0), dtype=np.int64)
             for f in system.forms:
                 for mu in monomials_of_degree(v, m - f.degree) if f.degree <= m else ():
                     col = np.zeros((len(index), 1), dtype=np.int64)
                     for exps, c in f.terms:
-                        col[index[tuple(a + b for a, b in zip(mu.exponents, exps))]] = c
+                        col[index[tuple(a + b for a, b in zip(mu, exps))]] = c
                     expected = np.hstack([expected, col])
             assert np.array_equal(macaulay_matrix(system, m), expected), (v, degrees, m)
 
@@ -370,7 +370,7 @@ def systems_and_windows(draw):
             seed = draw(st.integers(0, 2**32 - 1))
             forms.append(random_form(v, a, PrimeField(p), SplitMix64(seed)))
         else:
-            monos = [mono.exponents for mono in monomials_of_degree(v, a)]
+            monos = monomials_of_degree(v, a)
             terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1), max_size=3))
             forms.append(Form.make(v, a, terms))
     system = FormSystem(field=PrimeField(p), v=v, forms=tuple(forms))
@@ -399,9 +399,9 @@ class TestHilbertTableFromOneElimination:
         assume(monomial_count(system.v, top) * cols <= 250_000)
         matrix, levels = _product_columns(system, top, levelled=True)
         # rows and columns of M_top, each stably sorted by level top - e_0
-        row_e0 = np.array([mono.exponents[0] for mono in monomials_of_degree(system.v, top)])
+        row_e0 = np.array([mono[0] for mono in monomials_of_degree(system.v, top)])
         col_e0 = np.array([
-            mu.exponents[0]
+            mu[0]
             for f in system.forms if f.degree <= top
             for mu in monomials_of_degree(system.v, top - f.degree)
         ], dtype=np.int64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import monomial_form
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from tcbounds.fixtures import (
 from tcbounds.macaulay import (
     Form,
     FormSystem,
-    Monomial,
     form_product,
     hilbert_table,
     monomials_of_degree,
@@ -33,10 +33,6 @@ from tcbounds.quotient import (
     verify_theorem_b,
     verify_theorem_c,
 )
-
-
-def monomial_form(v, exps, coeff=1):
-    return Form.make(v, sum(exps), {tuple(exps): coeff})
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +163,7 @@ class TestIdealMembership:
 
     def test_z_squared_not_in_two_variables(self, cubic7):
         I = variables_ideal(cubic7.ring, 2)
-        verdict = MembershipOracle(cubic7.ring, I, 2).verdicts([Monomial((0, 0, 2))])[0]
+        verdict = MembershipOracle(cubic7.ring, I, 2).verdicts([monomial_form(3, (0, 0, 2))])[0]
         assert not verdict.contained
         assert verdict.rank_with == verdict.rank_without + 1
 
@@ -201,7 +197,7 @@ class TestIdealMembership:
         # an element is tested only in its own degree, not through a multiple
         for m in (1, 4):
             with pytest.raises(PreconditionError, match="element of degree 2"):
-                MembershipOracle(cubic7.ring, I, m).verdicts([Monomial((0, 0, 2))])
+                MembershipOracle(cubic7.ring, I, m).verdicts([monomial_form(3, (0, 0, 2))])
 
 
 class TestFrobeniusPowers:
@@ -255,15 +251,17 @@ class TestFrobeniusPowers:
         # z^4 = z*(x^3+y^3) = x^2(xz) + y^2(yz) in (x^2, y^2) mod the cubic
         ring = cubic2.ring
         I = variables_ideal(ring, 2)
-        z2 = Monomial((0, 0, 2))
+        z2 = monomial_form(3, (0, 0, 2))
         assert not MembershipOracle(ring, I, 2, 1).verdicts([z2])[0].contained
-        assert MembershipOracle(ring, I, 4, 2).verdicts([z2**2])[0].contained
+        z4 = quotient._frobenius_power_form(z2, 2)
+        assert MembershipOracle(ring, I, 4, 2).verdicts([z4])[0].contained
 
     def test_q7_verdict_recorded(self, cubic7):
         # recorded oracle outcome (p = 7 is 1 mod 3): z^14 does not land in
         # (x^7, y^7) + J, and the verdict is internally consistent
         I = variables_ideal(cubic7.ring, 2)
-        verdict = MembershipOracle(cubic7.ring, I, 14, 7).verdicts([Monomial((0, 0, 2)) ** 7])[0]
+        z14 = quotient._frobenius_power_form(monomial_form(3, (0, 0, 2)), 7)
+        verdict = MembershipOracle(cubic7.ring, I, 14, 7).verdicts([z14])[0]
         assert verdict.contained is False
         assert verdict.degree == 14
         assert verdict.contained == (verdict.rank_without == verdict.rank_with)
@@ -478,7 +476,7 @@ def _direct_ranks(ring, ideal, vector, m):
 
 def _vector(form, p):
     # coefficient vector over the canonical degree basis
-    index = {mono.exponents: i for i, mono in enumerate(monomials_of_degree(form.v, form.degree))}
+    index = {mono: i for i, mono in enumerate(monomials_of_degree(form.v, form.degree))}
     vec = np.zeros(len(index), dtype=np.int64)
     for exps, coeff in form.terms:
         vec[index[exps]] = coeff % p
@@ -578,7 +576,7 @@ def _two_relation_ring(p):
     rng = SplitMix64(5)
     forms = []
     for lead in ((2, 0, 0), (0, 3, 0)):
-        monos = [mono.exponents for mono in monomials_of_degree(3, sum(lead))]
+        monos = monomials_of_degree(3, sum(lead))
         later = monos[monos.index(lead) :]
         forms.append(Form.make(3, sum(lead), {e: 1 + rng.next_below(p - 1) for e in later}))
     return GradedQuotient(field, 3, FormSystem(field=field, v=3, forms=tuple(forms)))
@@ -613,7 +611,7 @@ class TestRingContract:
             expected = [
                 mono
                 for mono in monomials_of_degree(3, m)
-                if not any(_divides(lead, mono.exponents) for lead in leads)
+                if not any(_divides(lead, mono) for lead in leads)
             ]
             assert ring_basis(ring, m) == expected
 
@@ -675,11 +673,11 @@ class TestSizeCap:
         monkeypatch.setattr(quotient, "product_support", refuse)
         monkeypatch.setattr(quotient, "fp_echelon", refuse)
 
-    def test_default_q_list_for_the_scan(self, cubic5, no_matrices):
-        # z^2 against (x, y) with witnesses up to degree 2: at q = 125 the
-        # degree-252 test would stack 31375 + 2 * 8256 rows over 32131 columns
+    def test_q_list_for_theorem_b(self, cubic5, no_matrices):
+        # (x, y) at bound 2 with q_max = 5^4: at q = 125 the degree-250 test
+        # would stack 30876 + 2 * 8001 rows over 31626 columns
         ideal = variables_ideal(cubic5.ring, 2)
-        assert quotient._q_powers(cubic5.ring, ideal, 5**4, 2, 2) == (5, 25)
+        assert quotient._q_powers(cubic5.ring, ideal, 5**4, 2) == (5, 25)
 
     def test_scan_refused_before_allocating(self, cubic5, no_matrices):
         # the first test at q = 125 is in degree 250: 30876 + 2 * 8001 rows
