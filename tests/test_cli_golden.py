@@ -71,6 +71,7 @@ CASES = [
     {"argv": ["verify", "hilbert", "--trials", "2"], "env": {"TCBOUNDS_PRIME": "many"}},
     {"argv": ["verify", "hilbert", "--ideal-file", "squares.txt"]},
     {"argv": ["verify", "hilbert", "--ideal-file", "nope.txt"]},
+    {"argv": ["verify", "hilbert", "--ideal-file", "squares.txt", "--seed", "3"]},
     {"argv": ["verify", "hilbert", "--d", "2", "--n", "6", "--a", "10", "--trials", "5"]},
     # verify theorem-c
     {"argv": ["verify", "theorem-c", "--fixture", "fermat-cubic", "--n", "3", "--a", "2"]},
@@ -92,6 +93,8 @@ CASES = [
               "--seed", "7"]},
     {"argv": ["verify", "theorem-b", "--fixture", "fermat-cubic-p2", "--qmax", "16",
               "--ideal-file", "xy.txt"]},
+    {"argv": ["verify", "theorem-b", "--fixture", "fermat-cubic-p2", "--qmax", "16",
+              "--ideal-file", "xy.txt", "--seed", "3"]},
     {"argv": ["verify", "theorem-b", "--fixture", "fermat-cubic", "--n", "2", "--a", "2",
               "--qmax", "49", "--seed", "11"]},
     # parser errors and help texts, run once without --format
