@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given
-from conftest import monomial_form
 from hypothesis import strategies as st
 
 from tcbounds import arith, macaulay, quotient
@@ -24,6 +23,8 @@ from tcbounds.macaulay import (
     write_form_system,
 )
 from tcbounds.macaulay import _product_columns, _search_window
+
+from conftest import monomial_form
 
 F = PrimeField(32003)
 

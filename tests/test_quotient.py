@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from conftest import monomial_form
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -33,6 +32,8 @@ from tcbounds.quotient import (
     verify_theorem_b,
     verify_theorem_c,
 )
+
+from conftest import monomial_form
 
 
 @pytest.fixture(scope="module")
