@@ -10,9 +10,11 @@ a Groebner basis by Buchberger's first criterion, the monomials that no
 leading monomial divides are a basis of R_m, and the normal form
 NF: P_m -> R_m follows by division, with no elimination (Cox, Little and
 O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
-section 3).  A membership test eliminates only NF of I's product rows, a
-(rows of I) x dim R_m matrix, and reports rank J_m plus its rank: the rank
-of (I + J)_m in P_m.
+section 3).  A membership test eliminates only the residual, NF of each
+generator g of I times the standard monomials of degree m - deg g, a
+(sum_g dim R_{m - deg g}) x dim R_m matrix, and reports rank J_m plus its
+rank: the rank of (I + J)_m in P_m.  These products span (I*R)_m, since
+g * R_{m - deg g} is spanned by g times a basis of R_{m - deg g}.
 """
 
 from __future__ import annotations
@@ -110,6 +112,20 @@ class GradedQuotient:
             self._relation_echelons[m] = cached
         return cached
 
+    def _lead_multiples(self, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        # the degree-m monomials that a leading monomial divides, read from
+        # column 0 of each relation's product support (its first term leads),
+        # and per relation the rows of that support whose mu = LM(f) * nu no
+        # earlier relation's leading monomial divides
+        pivot = np.zeros(monomial_count(self.v, m), dtype=bool)
+        supports = []
+        for f in self.modulus.forms:
+            support = product_support(f, m)
+            support = support[~pivot[support[:, 0]]]
+            pivot[support[:, 0]] = True
+            supports.append(support)
+        return pivot, supports
+
     def _divide(self, m: int) -> _NormalForm:
         # mu = LM(f) * nu has NF(mu) = -lc^-1 * sum_t c_t NF(nu * t) over
         # f's other terms t.  Each mu is divided by the first relation whose
@@ -118,16 +134,12 @@ class GradedQuotient:
         # whose nu * t are all done.  Every nu * t comes after mu in the
         # canonical order, so the last pivot not yet done always qualifies
         # and each pass makes progress.
-        p, n = self.field.p, monomial_count(self.v, m)
-        pivot = np.zeros(n, dtype=bool)
-        work = []  # (relation, the mu it divides, their nu * t)
-        for f in self.modulus.forms:
-            support = product_support(f, m)
-            new = ~pivot[support[:, 0]]
-            pivot[support[new, 0]] = True
-            work.append((f, support[new, 0], support[new, 1:]))
+        p = self.field.p
+        pivot, supports = self._lead_multiples(m)
+        # (relation, the mu it divides, their nu * t)
+        work = [(f, s[:, 0], s[:, 1:]) for f, s in zip(self.modulus.forms, supports)]
         rank = int(pivot.sum())
-        nf = _NormalForm(pivot, np.zeros((rank, n - rank), dtype=np.int64), p)
+        nf = _NormalForm(pivot, np.zeros((rank, pivot.size - rank), dtype=np.int64), p)
         done = ~pivot
         while not done.all():
             for f, mus, rest in work:
@@ -168,10 +180,6 @@ class _NormalForm:
             out %= p
         return out
 
-    def products(self, form: Form, m: int) -> np.ndarray:
-        """NF of every product mu * form of degree m, one row per mu."""
-        return self.of(product_support(form, m), [c for _, c in form.terms])
-
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
     """dim_k R_m = dim P_m - rank(J at m)."""
@@ -207,9 +215,12 @@ class MembershipOracle:
     """Membership in (I^[q] + J)_m inside P_m, i.e. in I^[q]*R at degree m.
 
     The test is sized from binomials when the oracle is made and refused
-    over the cap.  On the first query the residual NF(product rows of
-    I^[q]), of shape (rows of I^[q]) x dim R_m, is eliminated once; an
-    element g is a member iff NF(g) lies in the residual's row space."""
+    over the cap.  On the first query the residual is eliminated once: NF
+    of each generator g of I^[q] times the standard monomials b of degree
+    m - deg g, of shape (sum_g dim R_{m - deg g}) x dim R_m.  Its rows span
+    NF((I^[q])_m), since any shift mu of g has mu = NF(mu) mod J and NF(mu)
+    is a combination of such b.  An element g is a member iff NF(g) lies in
+    the residual's row space."""
 
     def __init__(self, ring: GradedQuotient, ideal: FormSystem, m: int, q: int = 1):
         if ideal.field != ring.field:
@@ -220,11 +231,18 @@ class MembershipOracle:
         shape = _stacked_shape(ring, self.ideal.degrees, m)
         _check_cells(f"membership test in degree {m}", *shape)
 
+    def _products(self, nf: _NormalForm, form: Form) -> np.ndarray:
+        """NF of b * form for the standard monomials b of degree m - deg form,
+        those that no leading monomial divides, in canonical order."""
+        standard = ~self.ring._lead_multiples(self.degree - form.degree)[0]
+        support = product_support(form, self.degree)[standard]
+        return nf.of(support, [c for _, c in form.terms])
+
     @cached_property
     def echelon(self) -> Echelon:
         nf = self.ring.relation_echelon(self.degree)
         residual = [np.zeros((0, nf.table.shape[1]), dtype=np.int64)]
-        residual += [nf.products(g, self.degree) for g in self.ideal.forms]
+        residual += [self._products(nf, g) for g in self.ideal.forms]
         return fp_echelon(np.concatenate(residual), self.ring.field)
 
     def verdicts(self, elements: list[Form]) -> list[MembershipVerdict]:
@@ -239,7 +257,7 @@ class MembershipOracle:
                 raise PreconditionError(
                     f"element of degree {g.degree} in a degree-{self.degree} test"
                 )
-            contained = not ech.reduce(nf.products(g, self.degree)[0]).any()
+            contained = not ech.reduce(self._products(nf, g)[0]).any()
             rank_with = rank if contained else rank + 1
             out.append(MembershipVerdict(contained, self.degree, rank, rank_with))
         return out

@@ -662,6 +662,54 @@ class TestRingContract:
                 _assert_true_ranks(ring, ideal, f, verdict)
 
 
+_RESIDUAL_RINGS = {
+    "fermat-cubic-5": make_fixture("fermat-cubic", p=5).ring,
+    "fermat-cubic-7": make_fixture("fermat-cubic", p=7).ring,
+    "fermat-cubic-p2": make_fixture("fermat-cubic-p2").ring,
+    "fermat-quartic-3": make_fixture("fermat-quartic", p=3).ring,
+    # no relations: every shift is standard
+    "poly-ring-2": make_fixture("poly-ring", p=3, d=2).ring,
+    "two-relations-7": _two_relation_ring(7),
+}
+
+
+class TestResidual:
+    """The residual holds NF(b * g) for the standard monomials b of degree
+    m - deg g only, and still spans NF of (I^[q])_m."""
+
+    @given(
+        name=st.sampled_from(sorted(_RESIDUAL_RINGS)),
+        degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        frobenius=st.booleans(),
+        below=st.integers(-3, 2),
+        seed=st.integers(0, 2**16),
+    )
+    # the fifth power of the cubic generator, of degree 15, lies above m = 13
+    @example(name="fermat-cubic-5", degrees=[1, 1, 3], frobenius=True, below=2, seed=0)
+    def test_standard_rows_span_the_ideal(self, name, degrees, frobenius, below, seed):
+        ring = _RESIDUAL_RINGS[name]
+        p = ring.field.p
+        q = p if frobenius else 1
+        ideal = random_form_system(ring.v, tuple(degrees), ring.field, SplitMix64(seed))
+        m = max(0, q * max(degrees) - below)
+        seen = []
+
+        def record(matrix, field):
+            seen.append(matrix)
+            return fp_echelon(matrix, field)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotient, "fp_echelon", record)
+            rank = MembershipOracle(ring, ideal, m, q).echelon.rank
+        (residual,) = seen
+        rows = sum(ring_dimension_at(ring, m - q * a) for a in degrees if q * a <= m)
+        assert residual.shape == (rows, ring_dimension_at(ring, m))
+        ideal_q = frobenius_power_ideal(ideal, q)
+        zero = np.zeros(len(monomials_of_degree(ring.v, m)), dtype=np.int64)
+        stacked, _ = _direct_ranks(ring, ideal_q, zero, m)
+        assert ring.relation_echelon(m).table.shape[0] + rank == stacked
+
+
 class TestSizeCap:
     """Every membership test is sized from binomials and refused over the
     cap before any matrix is built."""
