@@ -23,7 +23,6 @@ __all__ = [
     "Echelon",
     "binom",
     "fp_rank",
-    "fp_rank_profile",
     "fp_echelon",
 ]
 
@@ -223,7 +222,11 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     eager facts of _check_exact, derived before g is touched, keep this
     exact for every p < 2^31.  The pivot is the first nonzero entry of its
     column, so ranks, pivot columns and the pivot rows, all reduced into
-    [0, p), are those of plain Gaussian elimination.
+    [0, p), are those of plain Gaussian elimination.  The pivot columns,
+    returned in increasing order, are the lexicographically first column
+    basis, since a column is a pivot exactly when it is not in the span of
+    the columns before it.  So the rank of the first k columns is the
+    number of pivots below k.
 
     Each panel works only on rows rank..hi-1, where hi is one past the
     last row at or below rank that is nonzero in any of the panel's
@@ -296,23 +299,12 @@ def _columns(matrix, p: int) -> np.ndarray:
     return np.remainder(a.T, p, order="C")
 
 
-def fp_rank_profile(matrix, field: PrimeField | int) -> tuple[int, ...]:
-    """Column rank profile of a dense matrix over F_p: the pivot columns,
-    in increasing order.
-
-    They are the lexicographically first column basis, since a column is
-    a pivot exactly when it is not in the span of the columns before it.
-    So the rank of the first k columns is the number of pivots below k.
-    Accepts any rectangular array-like of integers (reduced mod p on entry).
-    """
-    fld = _as_field(field)
-    _, pivots = _eliminate_blocked(_columns(matrix, fld.p), fld.p)
-    return tuple(pivots)
-
-
 def fp_rank(matrix, field: PrimeField | int) -> int:
-    """Rank of a dense matrix over F_p (the length of its rank profile)."""
-    return len(fp_rank_profile(matrix, field))
+    """Rank of a dense matrix over F_p.  Accepts any rectangular array-like
+    of integers (reduced mod p on entry)."""
+    fld = _as_field(field)
+    rank, _ = _eliminate_blocked(_columns(matrix, fld.p), fld.p)
+    return rank
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,6 @@ from .froeberg import DegreeType, smallest_zero
 __all__ = [
     "BoundReport",
     "BoundTable",
-    "generic_tight_bound",
-    "generic_frobenius_bound",
-    "generic_ideal_bound",
     "koszul_bound",
     "semistable_bound",
     "semistable_frobenius_improvement",
@@ -38,31 +35,6 @@ _HYPOTHESES = {
     "semistable": "the first syzygy bundle of the forms is strongly semistable",
     "semistable_frobenius": "d=1, three equal odd degrees, strongly semistable syzygy bundle",
 }
-
-
-def _generic_bounds(dt: DegreeType, m0: int, a_invariant: int | None = None):
-    tight = m0 + dt.d
-    return tight, tight + 1, None if a_invariant is None else tight + 1 + a_invariant
-
-
-def generic_tight_bound(dt: DegreeType) -> int:
-    """Degree from which R_m lies in the tight closure: m0 + d."""
-    return _generic_bounds(dt, smallest_zero(dt))[0]
-
-
-def generic_frobenius_bound(dt: DegreeType) -> int:
-    """Degree from which R_m lies in the Frobenius closure: m0 + d + 1."""
-    return _generic_bounds(dt, smallest_zero(dt))[1]
-
-
-def generic_ideal_bound(dt: DegreeType, a_invariant: int) -> int:
-    """Degree from which R_m lies in the ideal itself: m0 + d + 1 + a_inv.
-
-    The caller asserts R is Cohen-Macaulay of dimension d+1 >= 2 and supplies
-    its a-invariant. a_invariant = -d-1 recovers m0, the inclusion degree in
-    the polynomial ring.
-    """
-    return _generic_bounds(dt, smallest_zero(dt), a_invariant)[2]
 
 
 def koszul_bound(dt: DegreeType) -> int:
@@ -120,8 +92,11 @@ class BoundReport:
 
 
 def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
+    """Every bound for the degree type.  a_invariant = -d-1 makes the ideal
+    bound m0, the inclusion degree in the polynomial ring."""
     m0 = smallest_zero(dt)
-    tight, frobenius, ideal = _generic_bounds(dt, m0, a_invariant)
+    tight = m0 + dt.d
+    ideal = None if a_invariant is None else tight + 1 + a_invariant
     try:
         improved = semistable_frobenius_improvement(dt)
     except PreconditionError:
@@ -134,7 +109,7 @@ def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
     return BoundReport(
         m0=m0,
         tight=tight,
-        frobenius=frobenius,
+        frobenius=tight + 1,
         koszul=koszul_bound(dt),
         semistable=semistable_bound(dt),
         ideal=ideal,
@@ -155,12 +130,6 @@ class BoundTable:
     rows: tuple[tuple[str, tuple[int, ...]], ...]
     limits: tuple[tuple[str, int], ...]
 
-    def limit(self, name: str) -> int:
-        for key, value in self.limits:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def build_table(d: int, a: int, n_values: list[int] | tuple[int, ...]) -> BoundTable:
     """Tabulate the three bound families for constant degree a.
@@ -172,11 +141,11 @@ def build_table(d: int, a: int, n_values: list[int] | tuple[int, ...]) -> BoundT
     """
     if any(n < d + 1 for n in n_values):
         raise PreconditionError(f"every n must be >= d+1, got {tuple(n_values)}")
-    types = [DegreeType.constant(d, n, a) for n in n_values]
+    reports = [bound_report(DegreeType.constant(d, n, a)) for n in n_values]
     rows = (
-        ("koszul", tuple(koszul_bound(dt) for dt in types)),
-        ("semistable", tuple(semistable_bound(dt) for dt in types)),
-        ("generic", tuple(generic_tight_bound(dt) for dt in types)),
+        ("koszul", tuple(r.koszul for r in reports)),
+        ("semistable", tuple(r.semistable for r in reports)),
+        ("generic", tuple(r.tight for r in reports)),
     )
     limits = (
         ("koszul", (d + 1) * a),

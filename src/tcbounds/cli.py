@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import PreconditionError, PrimeField
@@ -66,19 +65,6 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     if not out:
         raise argparse.ArgumentTypeError(f"bad n range {text!r}")
     return tuple(out)
-
-
-def _flag_or_env(flag: int | None, name: str, fallback: int | None) -> int | None:
-    """An explicit flag wins over the environment variable `name`."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(f"{name} must be an integer, got {raw!r}")
 
 
 def _degree_type(args) -> DegreeType:
@@ -141,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hil = vsub.add_parser("hilbert", help="Hilbert functions of random ideals vs prediction")
     _add_degree_flags(p_hil, d_required=False)
-    p_hil.add_argument("--p", type=int, help="prime field (default TCBOUNDS_PRIME or 32003)")
+    p_hil.add_argument("--p", type=int, help=f"prime field (default {DEFAULT_PRIME})")
     p_hil.add_argument("--trials", type=int)
     p_hil.add_argument("--ideal-file", dest="ideal_file",
                        help="check one explicit form system instead of random trials")
@@ -202,9 +188,7 @@ def _params(dt: DegreeType, args, **extra) -> dict:
 
 def _fixture(args):
     """The named ring; --d defaults to its dimension parameter."""
-    fixture = make_fixture(
-        args.fixture, p=_flag_or_env(args.p, "TCBOUNDS_PRIME", None), d=args.d
-    )
+    fixture = make_fixture(args.fixture, p=args.p, d=args.d)
     if args.d is None:
         args.d = fixture.ring.krull_dimension - 1
     return fixture
@@ -256,14 +240,15 @@ def cmd_bounds(args) -> Output:
 
 def cmd_table(args) -> Output:
     table = build_table(args.d, args.a, args.n)
+    limits = dict(table.limits)
     result = {
         "d": table.d,
         "a": table.a,
         "n_values": list(table.n_values),
         "rows": {name: list(values) for name, values in table.rows},
-        "limits": dict(table.limits),
+        "limits": limits,
     }
-    rows = [[name, *values, table.limit(name)] for name, values in table.rows]
+    rows = [[name, *values, limits[name]] for name, values in table.rows]
     cells = [["bound"] + [f"n={n}" for n in table.n_values] + ["limit"]]
     cells += [[str(x) for x in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
@@ -306,7 +291,7 @@ def _hilbert_single(args) -> Output:
 
 
 def cmd_verify_hilbert(args) -> Output:
-    prime = _flag_or_env(args.p, "TCBOUNDS_PRIME", DEFAULT_PRIME)
+    prime = DEFAULT_PRIME if args.p is None else args.p
     if args.ideal_file is not None:
         _refuse_with_ideal_file(args, "d", "n", "a", "degrees", "p", "trials", "seed")
         return _hilbert_single(args)

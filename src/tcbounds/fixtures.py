@@ -38,8 +38,7 @@ def _diagonal_hypersurface(v: int, k: int, p: int) -> GradedQuotient:
     form = Form.make(
         v, k, {tuple(k if i == j else 0 for i in range(v)): 1 for j in range(v)}
     )
-    modulus = FormSystem(field=field, v=v, forms=(form,))
-    return GradedQuotient(field, v, modulus)
+    return GradedQuotient(FormSystem(field=field, v=v, forms=(form,)))
 
 
 # name -> (degree k of x^k+y^k+z^k, the one prime the ring is defined
@@ -84,7 +83,7 @@ def make_fixture(name: str, p: int | None = None, d: int | None = None) -> Fixtu
         v = d + 1
         return Fixture(
             name=name,
-            ring=GradedQuotient(PrimeField(prime), v),
+            ring=GradedQuotient(FormSystem(field=PrimeField(prime), v=v, forms=())),
             a_invariant=a_invariant_complete_intersection((), v),
             description=f"F_{prime}[x_0..x_{v - 1}] (no relations)",
         )

@@ -86,18 +86,12 @@ def _check_cells(what: str, rows: int, cols: int) -> None:
 @lru_cache(maxsize=None)
 def _exponent_tuples(v: int, m: int) -> tuple[tuple[int, ...], ...]:
     # canonical order: ascending lexicographic on the reversed exponent
-    # tuple, which is descending degree-reverse-lexicographic
-    out: list[tuple[int, ...]] = []
-
-    def descend(idx: int, rem: int, acc: tuple[int, ...]) -> None:
-        if idx == 0:
-            out.append((rem,) + acc)
-            return
-        for e in range(rem + 1):
-            descend(idx - 1, rem - e, (e,) + acc)
-
-    descend(v - 1, m, ())
-    return tuple(out)
+    # tuple, which is descending degree-reverse-lexicographic: e_(v-1) is
+    # chosen first and e_0 takes what is left, one loop per variable
+    level = [((), m)]
+    for _ in range(v - 1):
+        level = [((e,) + acc, rem - e) for acc, rem in level for e in range(rem + 1)]
+    return tuple((rem,) + acc for acc, rem in level)
 
 
 def monomial_count(v: int, m: int) -> int:
@@ -360,7 +354,7 @@ def _hilbert_prefix(system: FormSystem, top: int) -> list[int]:
     # in place, with no reduced copy: it is a fresh array that nothing else
     # holds, F-ordered so that its transpose is the C-ordered column store
     # the kernel takes, and every entry is a coefficient that FormSystem
-    # has checked to lie in [0, p), where fp_rank_profile would put it.
+    # has checked to lie in [0, p), where arith._columns would put it.
     matrix, levels = _product_columns(system, top, levelled=True)
     _, pivots = arith._eliminate_blocked(matrix.T, system.field.p)
     ranks = np.cumsum(np.bincount(levels[pivots], minlength=top + 1))
@@ -520,6 +514,8 @@ def read_form_system(text: str) -> FormSystem:
                     coeff = int(coeffpart)
                 except ValueError as exc:
                     raise PreconditionError(f"malformed term {chunk!r}") from exc
+                if exps in coeffs:
+                    raise PreconditionError(f"repeated monomial {exps} in {line!r}")
                 coeffs[exps] = coeff % p
         forms.append(Form.make(v, degree, coeffs))
     return FormSystem(field=fld, v=v, forms=tuple(forms))

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import Echelon, PreconditionError, PrimeField, SplitMix64, fp_echelon
-from .bounds import generic_frobenius_bound, generic_ideal_bound
+from .arith import Echelon, PreconditionError, SplitMix64, fp_echelon
+from .bounds import bound_report
 from .froeberg import DegreeType
 from .macaulay import (
     Form,
@@ -56,22 +56,17 @@ __all__ = [
 
 class GradedQuotient:
     """R = P/J for a homogeneous system of relations J (J may be empty)
-    whose leading monomials are pairwise coprime.
+    whose leading monomials are pairwise coprime.  P's field and variable
+    count are those of the system.
 
     The leading monomial of a relation is its first term, the largest in
     the canonical (degrevlex) order.  J's fully reduced echelons (normal
     forms) are cached per degree.
     """
 
-    def __init__(self, field: PrimeField, v: int, modulus: FormSystem | None = None):
-        if v < 1:
-            raise PreconditionError(f"need at least one variable, got v={v}")
-        if modulus is None:
-            modulus = FormSystem(field=field, v=v, forms=())
-        if modulus.field != field:
-            raise PreconditionError("modulus field does not match ring field")
-        if modulus.v != v:
-            raise PreconditionError("modulus variable count does not match ring")
+    def __init__(self, modulus: FormSystem):
+        if modulus.v < 1:
+            raise PreconditionError(f"need at least one variable, got v={modulus.v}")
         leads: list[tuple[int, ...]] = []
         for f in modulus.forms:
             if f.degree < 1:
@@ -86,8 +81,8 @@ class GradedQuotient:
                         "are not coprime"
                     )
             leads.append(lead)
-        self.field = field
-        self.v = v
+        self.field = modulus.field
+        self.v = modulus.v
         self.modulus = modulus
         self._relation_echelons: dict[int, _NormalForm] = {}
 
@@ -406,7 +401,7 @@ def verify_theorem_c(
     same stream (bounded retries, draw count reported).
     """
     _check_dimension(ring, dt)
-    bound = generic_ideal_bound(dt, a_invariant)
+    bound = bound_report(dt, a_invariant).ideal
     if bound < 0:
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
@@ -477,7 +472,7 @@ def verify_theorem_b(
         raise PreconditionError(
             f"ideal degrees {ideal.degrees} do not match degree type {dt.degrees}"
         )
-    bound = generic_frobenius_bound(dt)
+    bound = bound_report(dt).frobenius
 
     q_list = (1,) + _q_powers(ring, ideal, q_max, bound)
     # every test is sized before any is run

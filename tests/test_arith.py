@@ -18,7 +18,6 @@ from tcbounds.arith import (
     binom,
     fp_echelon,
     fp_rank,
-    fp_rank_profile,
 )
 from tcbounds.arith import (
     _BLOCK,
@@ -330,7 +329,7 @@ def kernel_matrices(draw, primes=KERNEL_PRIMES):
 
 
 class TestKernelAgainstReference:
-    """fp_rank, fp_rank_profile, fp_echelon and the blocked kernel against
+    """fp_rank, fp_echelon and the blocked kernel against
     echelon_reference: rank, pivot columns and rows must agree exactly."""
 
     def test_prime_list(self):
@@ -353,14 +352,13 @@ class TestKernelAgainstReference:
         a, p = case
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         assert fp_rank(a, p) == rank
-        assert fp_rank_profile(a, p) == tuple(pivots)
         ech = fp_echelon(a, p)
         assert ech.rank == rank
         assert ech.pivot_columns == tuple(pivots)
         assert ech.rows.tolist() == rows
 
     def test_input_layouts_agree_and_are_left_unchanged(self):
-        # fp_rank, fp_rank_profile and fp_echelon eliminate a reduced copy
+        # fp_rank and fp_echelon eliminate a reduced copy
         # stored by columns, whatever the layout they are given; 150 x 140
         # spans three panels
         p = 97
@@ -374,7 +372,6 @@ class TestKernelAgainstReference:
         rank, pivots, rows = echelon_reference(a.tolist(), p)
         for x in inputs:
             assert fp_rank(x, p) == rank
-            assert fp_rank_profile(x, p) == tuple(pivots)
             ech = fp_echelon(x, p)
             assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
             assert ech.rows.tolist() == rows

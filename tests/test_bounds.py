@@ -13,9 +13,6 @@ from tcbounds.bounds import (
     a_invariant_complete_intersection,
     bound_report,
     build_table,
-    generic_frobenius_bound,
-    generic_ideal_bound,
-    generic_tight_bound,
     koszul_bound,
     semistable_bound,
     semistable_frobenius_improvement,
@@ -25,35 +22,35 @@ from tcbounds.froeberg import DegreeType, smallest_zero
 
 class TestGenericBounds:
     def test_tight_values(self):
-        assert generic_tight_bound(DegreeType.constant(2, 5, 10)) == 19
-        assert generic_tight_bound(DegreeType.constant(1, 7, 10)) == 12
-        assert generic_tight_bound(DegreeType.constant(2, 3, 10)) == 30
+        assert bound_report(DegreeType.constant(2, 5, 10)).tight == 19
+        assert bound_report(DegreeType.constant(1, 7, 10)).tight == 12
+        assert bound_report(DegreeType.constant(2, 3, 10)).tight == 30
 
     def test_tight_equals_total_in_parameter_case(self):
         rng = SplitMix64(3)
         for _ in range(50):
             d = 1 + rng.next_below(5)
             dt = DegreeType(d, tuple(1 + rng.next_below(20) for _ in range(d + 1)))
-            assert generic_tight_bound(dt) == dt.total
+            assert bound_report(dt).tight == dt.total
 
     def test_frobenius_values(self):
         for a in (1, 3, 5, 11):
             dt = DegreeType.constant(1, 3, a)
-            assert generic_frobenius_bound(dt) == (3 * a + 3) // 2
-        assert generic_frobenius_bound(DegreeType.constant(2, 4, 10)) == 22
-        assert generic_frobenius_bound(DegreeType(1, (1, 1))) == 3
+            assert bound_report(dt).frobenius == (3 * a + 3) // 2
+        assert bound_report(DegreeType.constant(2, 4, 10)).frobenius == 22
+        assert bound_report(DegreeType(1, (1, 1))).frobenius == 3
 
     def test_ideal_values(self):
-        assert generic_ideal_bound(DegreeType.constant(1, 3, 2), 0) == 4
+        assert bound_report(DegreeType.constant(1, 3, 2), 0).ideal == 4
         # polynomial-ring a-invariant collapses the bound to m0
         dt = DegreeType.constant(3, 4, 10)
-        assert generic_ideal_bound(dt, -4) == smallest_zero(dt) == 37
+        assert bound_report(dt, -4).ideal == smallest_zero(dt) == 37
         # frozen derived value: m0 = ceil(40/3) - 1 = 13, then + 3
-        assert generic_ideal_bound(DegreeType.constant(1, 4, 10), 1) == 16
+        assert bound_report(DegreeType.constant(1, 4, 10), 1).ideal == 16
 
     def test_propagates_precondition(self):
         with pytest.raises(PreconditionError):
-            generic_tight_bound(DegreeType(2, (5, 5)))
+            bound_report(DegreeType(2, (5, 5)))
 
 
 class TestCompetingBounds:
@@ -91,7 +88,7 @@ class TestCompetingBounds:
             for a in range(1, 51):
                 for n in range(d + 2, 31):
                     dt = DegreeType.constant(d, n, a)
-                    g = generic_tight_bound(dt)
+                    g = bound_report(dt).tight
                     s = semistable_bound(dt)
                     k = koszul_bound(dt)
                     if not g <= s <= k:
@@ -160,23 +157,21 @@ class TestBuildTable:
         assert dict(table.rows)["generic"] == (20, 15, 14, 13, 12, 12, 12, 11)
         assert dict(table.rows)["koszul"] == (20,) * 8
         assert dict(table.rows)["semistable"] == (20, 15, 14, 13, 12, 12, 12, 11)
-        assert table.limit("koszul") == 20
-        assert table.limit("semistable") == 11
-        assert table.limit("generic") == 11
+        assert dict(table.limits) == {"koszul": 20, "semistable": 11, "generic": 11}
 
     def test_reference_rows_d2(self):
         table = build_table(2, 10, [3, 4, 5, 6, 7, 8, 10, 11])
         assert dict(table.rows)["generic"] == (30, 21, 19, 18, 17, 16, 16, 15)
         assert dict(table.rows)["koszul"] == (30,) * 8
         assert dict(table.rows)["semistable"] == (30, 27, 25, 24, 24, 23, 23, 22)
-        assert (table.limit("koszul"), table.limit("semistable"), table.limit("generic")) == (30, 21, 12)
+        assert dict(table.limits) == {"koszul": 30, "semistable": 21, "generic": 12}
 
     def test_reference_rows_d3(self):
         table = build_table(3, 10, list(range(4, 12)))
         assert dict(table.rows)["generic"] == (40, 26, 24, 22, 22, 21, 20, 20)
         assert dict(table.rows)["koszul"] == (40,) * 8
         assert dict(table.rows)["semistable"] == (40, 38, 36, 35, 35, 34, 34, 33)
-        assert (table.limit("koszul"), table.limit("semistable"), table.limit("generic")) == (40, 31, 13)
+        assert dict(table.limits) == {"koszul": 40, "semistable": 31, "generic": 13}
 
     def test_rejects_small_n(self):
         with pytest.raises(PreconditionError):

@@ -537,3 +537,8 @@ class TestTextFormat:
         for text in ("", "q=7 v=2\n", "p=7 v=2\nx; 1 0:1\n", "p=7 v=2\n1; 1:0:1\n"):
             with pytest.raises(PreconditionError):
                 read_form_system(text)
+
+    def test_repeated_monomial_refused(self):
+        # 3xy + 4xy = 0 over F_7; the text must not read as its last term 4xy
+        with pytest.raises(PreconditionError, match=r"repeated monomial \(1, 1\)"):
+            read_form_system("p=7 v=2\n2; 1 1:3, 1 1:4\n")
