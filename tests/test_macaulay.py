@@ -534,11 +534,8 @@ class TestTextFormat:
         assert dict(system.forms[0].terms) == {(1, 0): 6}
 
     def test_malformed_inputs(self):
-        for text in ("", "q=7 v=2\n", "p=7 v=2\nx; 1 0:1\n", "p=7 v=2\n1; 1:0:1\n"):
+        # the last one means 3xy + 4xy = 0 over F_7, not its last term 4xy
+        for text in ("", "q=7 v=2\n", "p=7 v=2\nx; 1 0:1\n", "p=7 v=2\n1; 1:0:1\n",
+                     "p=7 v=2\n2; 1 1:3, 1 1:4\n"):
             with pytest.raises(PreconditionError):
                 read_form_system(text)
-
-    def test_repeated_monomial_refused(self):
-        # 3xy + 4xy = 0 over F_7; the text must not read as its last term 4xy
-        with pytest.raises(PreconditionError, match=r"repeated monomial \(1, 1\)"):
-            read_form_system("p=7 v=2\n2; 1 1:3, 1 1:4\n")
