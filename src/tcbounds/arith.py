@@ -202,7 +202,9 @@ def _apply_pivots(
             part %= p
 
 
-def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int, list[int]]:
+def _eliminate_blocked(
+    g: np.ndarray, p: int, block: int | None = None
+) -> tuple[int, list[int]]:
     """Panel elimination with delayed reduction and blocked updates, in
     place on the column store g (g[c] is column c of the matrix).
 
@@ -212,7 +214,11 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     _apply_pivots; the last panel has none): it makes the pivot rows there
     final and clears the block below them.  Multipliers stay below their
     pivots, as in LU, and are zeroed after the carry.  On return
-    g[:, :rank].T are the echelon rows.
+    g[:, :rank].T are the echelon rows.  With block None the width follows
+    from the shape: a matrix of at most 2 * _BLOCK columns is one panel,
+    which needs no carry, and a wider one has panels of _BLOCK columns.
+    On such narrow matrices the carry's fixed cost outweighs the
+    elementwise work it saves, and on wider ones the reverse.
 
     Reduction mod p is delayed: an entry is reduced only where it is read,
     that is a column before its pivot search, a pivot row before it is
@@ -220,13 +226,14 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     only accumulates: it starts in [0, p) and takes at most one
     contribution in [0, (p-1)^2] per pivot, subtracted.  The split and
     eager facts of _check_exact, derived before g is touched, keep this
-    exact for every p < 2^31.  The pivot is the first nonzero entry of its
-    column, so ranks, pivot columns and the pivot rows, all reduced into
-    [0, p), are those of plain Gaussian elimination.  The pivot columns,
-    returned in increasing order, are the lexicographically first column
-    basis, since a column is a pivot exactly when it is not in the span of
-    the columns before it.  So the rank of the first k columns is the
-    number of pivots below k.
+    exact for every p < 2^31; one panel makes no matmul, so only an
+    explicit block can be refused.  The pivot is the first nonzero entry
+    of its column, so ranks, pivot columns and the pivot rows, all reduced
+    into [0, p), are those of plain Gaussian elimination.  The pivot
+    columns, returned in increasing order, are the lexicographically first
+    column basis, since a column is a pivot exactly when it is not in the
+    span of the columns before it.  So the rank of the first k columns is
+    the number of pivots below k.
 
     Each panel works only on rows rank..hi-1, where hi is one past the
     last row at or below rank that is nonzero in any of the panel's
@@ -241,18 +248,22 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
     row inside the panel; hi is then larger than it need be, which is
     still exact.  On a matrix whose rows are sorted by leading column (the
     level-ordered Macaulay matrix of macaulay.hilbert_table) hi is that
-    staircase's step under the panel, and most rows are skipped.
+    staircase's step under the panel, and most rows are skipped.  Each
+    pivot's rank-one update stops in the same way at its last nonzero
+    multiplier, read after the pivot search has reduced its column, so
+    there a multiple of p is 0 and is skipped.
     """
     cols, rows = g.shape
     if rows == 0 or cols == 0:
         return 0, []
-    split, eager = _check_exact(p, block, rows, cols)
+    split, eager = _check_exact(p, block or _BLOCK, rows, cols)
+    width = block or (cols if cols <= 2 * _BLOCK else _BLOCK)
     rank = 0
     pivots: list[int] = []
-    for panel_start in range(0, cols, block):
+    for panel_start in range(0, cols, width):
         if rank == rows:
             break
-        panel_end = min(panel_start + block, cols)
+        panel_end = min(panel_start + width, cols)
         live = np.flatnonzero(g[panel_start:panel_end, rank:].any(axis=0))
         if live.size == 0:
             continue
@@ -262,21 +273,29 @@ def _eliminate_blocked(g: np.ndarray, p: int, block: int = _BLOCK) -> tuple[int,
             r = rank + len(scales)
             if r == hi:
                 break
-            colv = g[c, r:hi] % p
-            g[c, r:hi] = colv
-            nz = np.flatnonzero(colv)
+            colv = g[c, r:hi]
+            np.remainder(colv, p, out=colv)
+            nz = colv.nonzero()[0]
             if nz.size == 0:
                 continue
             i0 = r + int(nz[0])
             if i0 != r:
                 # both rows are zero left of the panel
-                g[panel_start:, [r, i0]] = g[panel_start:, [i0, r]]
+                row = g[panel_start:, r].copy()
+                g[panel_start:, r] = g[panel_start:, i0]
+                g[panel_start:, i0] = row
+            # past the pivot row the last nonzero multiplier; the swap moved
+            # a zero to i0
+            end = r + int(nz[-1]) + 1 if nz.size > 1 else r + 1
             inv = pow(int(g[c, r]), p - 2, p)
-            g[c:panel_end, r] = g[c:panel_end, r] % p * inv % p
+            prow = g[c:panel_end, r]
+            prow %= p
+            prow *= inv
+            prow %= p
             rest = g[c + 1 : panel_end]
-            rest[:, r + 1 : hi] -= rest[:, r, None] * g[c, None, r + 1 : hi]
+            rest[:, r + 1 : end] -= rest[:, r, None] * g[c, None, r + 1 : end]
             if eager:
-                rest[:, r + 1 : hi] %= p
+                rest[:, r + 1 : end] %= p
             scales.append(inv)
             pivots.append(c)
         t = len(scales)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -86,12 +87,16 @@ def _check_cells(what: str, rows: int, cols: int) -> None:
 @lru_cache(maxsize=None)
 def _exponent_tuples(v: int, m: int) -> tuple[tuple[int, ...], ...]:
     # canonical order: ascending lexicographic on the reversed exponent
-    # tuple, which is descending degree-reverse-lexicographic: e_(v-1) is
-    # chosen first and e_0 takes what is left, one loop per variable
-    level = [((), m)]
-    for _ in range(v - 1):
-        level = [((e,) + acc, rem - e) for acc, rem in level for e in range(rem + 1)]
-    return tuple((rem,) + acc for acc, rem in level)
+    # tuple, which is descending degree-reverse-lexicographic.  The reversed
+    # tuple (e_(v-1), ..., e_0) is the gaps between v - 1 bars placed among
+    # m + v - 1 slots, and combinations lists the bar positions, so also
+    # the gaps, in ascending lexicographic order: O(v) work per tuple
+    n = m + v - 1
+    count = binom(n, v - 1)
+    flat = chain.from_iterable(combinations(range(n), v - 1))
+    bars = np.fromiter(flat, dtype=np.int64, count=count * (v - 1)).reshape(count, v - 1)
+    gaps = np.diff(bars, axis=1, prepend=-1, append=n) - 1
+    return tuple(map(tuple, gaps[:, ::-1].tolist()))
 
 
 def monomial_count(v: int, m: int) -> int:
@@ -488,11 +493,14 @@ def read_form_system(text: str) -> FormSystem:
     if not lines:
         raise PreconditionError("empty form-system text")
     header = lines[0].split()
+    keys = sorted(part.partition("=")[0] for part in header)
+    if keys != ["p", "v"]:
+        raise PreconditionError(f"header {lines[0]!r} must set p and v once each")
     try:
         fields = dict(part.split("=", 1) for part in header)
         p = int(fields["p"])
         v = int(fields["v"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise PreconditionError(f"malformed header {lines[0]!r}") from exc
     if v < 1:
         raise PreconditionError(f"need at least one variable, got v={v}")

@@ -26,7 +26,8 @@ from tcbounds.arith import (
     _eliminate_blocked,
     _is_prime,
 )
-from tcbounds.macaulay import _product_columns, random_form_system
+from tcbounds import fixtures, quotient
+from tcbounds.macaulay import Form, _product_columns, random_form_system
 
 
 def echelon_reference(matrix, p: int) -> tuple[int, list[int], list[list[int]]]:
@@ -421,6 +422,83 @@ class TestZeroTail:
         # after the 64 pivots of panel k, below spans rows 64k + 64 up to
         # the panel's last nonzero row, 80(k+1) - 1
         assert widths == [step * (k + 1) - _BLOCK * k - _BLOCK for k in (0, 1)]
+
+
+class TestDefaultWidth:
+    """With no explicit block, a matrix of at most 2 * _BLOCK columns is
+    one panel, with no carry, and a wider one has _BLOCK-column panels."""
+
+    @pytest.mark.parametrize("p", [3, KERNEL_PRIMES[5], 2**31 - 1])
+    @pytest.mark.parametrize("cols", [2 * _BLOCK, 2 * _BLOCK + 1])
+    def test_carries_only_past_the_threshold(self, monkeypatch, p, cols):
+        # 80 rows: at 2 * _BLOCK + 1 columns the second panel reaches
+        # rank == rows, and carries into the third before the loop stops
+        assert _check_exact(p, _BLOCK, 80, cols) == (p > 3, p == 2**31 - 1)
+        a = np.random.default_rng(cols).integers(0, p, (80, cols))
+        a[:, 5] = 0
+        a[7] = a[3]
+        rank, pivots, rows = echelon_reference(a.tolist(), p)
+        calls = []
+        apply_pivots = arith._apply_pivots
+
+        def recording(*args):
+            calls.append(args[0].shape)
+            return apply_pivots(*args)
+
+        monkeypatch.setattr(arith, "_apply_pivots", recording)
+        ech = fp_echelon(a, p)
+        assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
+        assert ech.rows.tolist() == rows
+        panels = -(-cols // _BLOCK)
+        assert len(calls) == (0 if cols <= 2 * _BLOCK else panels - 1)
+
+    def test_one_panel_is_not_refused(self):
+        # a 100-column panel makes no matmul, so only an explicit block of
+        # that width is refused at 2^31 - 1
+        p = 2**31 - 1
+        a = np.random.default_rng(16).integers(0, p, (40, 100))
+        rank, pivots, rows = echelon_reference(a.tolist(), p)
+        ech = fp_echelon(a, p)
+        assert (ech.rank, ech.pivot_columns, ech.rows.tolist()) == (rank, tuple(pivots), rows)
+        with pytest.raises(PreconditionError, match=r"2\^53"):
+            _eliminate_blocked(a.T.copy(), p, 100)
+
+
+def _scan_residuals(p: int, q: int) -> list[np.ndarray]:
+    """The residuals that one tight_witness_scan of z^2 against (x, y) on
+    the Fermat cubic eliminates, with the scan's default witnesses."""
+    ring = fixtures.make_fixture("fermat-cubic", p=p).ring
+    residuals = []
+
+    def recording(matrix, field):
+        residuals.append(np.array(matrix, dtype=np.int64))
+        return fp_echelon(matrix, field)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotient, "fp_echelon", recording)
+        quotient.tight_witness_scan(ring, fixtures.variables_ideal(ring, 2),
+                                    Form.make(3, 2, {(0, 0, 2): 1}), q_list=(q,))
+    return residuals
+
+
+class TestScanResiduals:
+    """Membership residuals are sparse and need a row swap for most
+    pivots, which random matrices do not."""
+
+    def test_against_reference(self):
+        p = 13
+        residuals = _scan_residuals(p, p)
+        assert [a.shape for a in residuals] == [(78, 78), (84, 81), (90, 84)]
+        rng = np.random.default_rng(17)
+        for a in residuals:
+            rank, pivots, rows = echelon_reference(a.tolist(), p)
+            # stored multiples of p in place of zeros, below the pivots too:
+            # each pivot's extent is read after its column is reduced
+            padded = a + p * rng.integers(0, 3, a.shape) * (a == 0)
+            for b in (a, padded):
+                ech = fp_echelon(b, p)
+                assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
+                assert ech.rows.tolist() == rows
 
 
 class TestBlockedExactness:

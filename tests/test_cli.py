@@ -351,8 +351,8 @@ class TestVerifyHilbert:
         assert "Traceback" not in out
 
     def test_ideal_file_thousands_of_variables(self, capsys, tmp_path):
-        # the monomials are listed one loop per variable, not one recursion
-        # level: 3000 variables read and check at degree 0
+        # the monomials are listed without one recursion level per
+        # variable: 3000 variables read and check at degree 0
         path = tmp_path / "wide.txt"
         path.write_text("p=7 v=3000\n1; 1" + " 0" * 2999 + ":1\n")
         code, payload = run_json(capsys, "verify", "hilbert", "--ideal-file", str(path))

@@ -33,6 +33,7 @@ FILES = {
     "squares.txt": "p=32003 v=2\n2; 2 0:1\n2; 0 2:1\n",
     "xy.txt": "p=2 v=3\n1; 1 0 0:1\n1; 0 1 0:1\n",
     "repeated.txt": "p=7 v=2\n2; 1 1:3, 1 1:4\n",
+    "header-keys.txt": "p=7 v=2 p=5\n1; 1 0:6\n",
 }
 
 CASES = [
@@ -73,6 +74,7 @@ CASES = [
     {"argv": ["verify", "hilbert", "--ideal-file", "squares.txt"]},
     {"argv": ["verify", "hilbert", "--ideal-file", "nope.txt"]},
     {"argv": ["verify", "hilbert", "--ideal-file", "repeated.txt"]},
+    {"argv": ["verify", "hilbert", "--ideal-file", "header-keys.txt"]},
     {"argv": ["verify", "hilbert", "--ideal-file", "squares.txt", "--seed", "3"]},
     {"argv": ["verify", "hilbert", "--d", "2", "--n", "6", "--a", "10", "--trials", "5"]},
     # verify theorem-c

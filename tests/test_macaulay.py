@@ -60,6 +60,27 @@ class TestMonomials:
         rev = [tuple(reversed(e)) for e in monomials_of_degree(4, 3)]
         assert rev == sorted(rev)
 
+    def test_matches_the_recursive_listing(self):
+        # e_(v-1) ascending in the outer loop, the rest listed recursively
+        # in the same order, and e_0 takes what is left
+        def recursive(v, m):
+            if v == 1:
+                return [(m,)]
+            return [rest + (e,) for e in range(m + 1) for rest in recursive(v - 1, m - e)]
+
+        for v in range(1, 6):
+            for m in range(7):
+                assert macaulay._exponent_tuples(v, m) == tuple(recursive(v, m)), (v, m)
+
+    def test_wide_listings(self):
+        # one tuple per monomial, each built once: 20000 variables at degree
+        # 0 and 300 at degree 2 are listed, not copied once per variable
+        assert macaulay._exponent_tuples(20000, 0) == ((0,) * 20000,)
+        wide = macaulay._exponent_tuples(300, 2)
+        assert len(wide) == monomial_count(300, 2) == 45150
+        assert wide[0] == (2,) + (0,) * 299 and wide[-1] == (0,) * 299 + (2,)
+        assert all(sum(e) == 2 for e in wide)
+
     def test_mul_pow_degree(self):
         # a monomial's q-th power is its Frobenius power as a one-term form
         x2y = monomial_form(3, (2, 1, 0))
@@ -539,3 +560,12 @@ class TestTextFormat:
                      "p=7 v=2\n2; 1 1:3, 1 1:4\n"):
             with pytest.raises(PreconditionError):
                 read_form_system(text)
+
+    def test_header_keys_set_once(self):
+        # a repeated key used to keep its last value (F_5 here) and an
+        # unknown one was ignored
+        for text in ("p=7 v=2 p=5\n1; 1 0:6\n", "p=7 v=2 q=5\n1; 1 0:6\n",
+                     "p=7 v=2 v=2\n", "p=7\n", "p=7 v=2 x\n"):
+            with pytest.raises(PreconditionError, match="must set p and v once each"):
+                read_form_system(text)
+        assert read_form_system("v=2 p=7\n1; 1 0:6\n").field.p == 7
