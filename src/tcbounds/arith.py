@@ -3,10 +3,12 @@
 Integers are Python ints throughout (arbitrary precision, never wrapped).
 Matrix ranks over a prime field use one hand-written Gaussian elimination,
 in place on an int64 matrix stored by columns, one panel of columns at a
-time: rank-one updates inside the panel, then one blocked carry into the
-columns right of it, with delayed modular reduction.  It is exact for
-every p < 2^31: _check_exact derives from p, the panel width and the
-shape what keeps its float64 and int64 intermediates exact.
+time: rank-one updates inside the panel, each down to the last row it
+changes, then one blocked carry into the columns right of it, with
+delayed modular reduction.  A matrix of at most 2 * _BLOCK columns is one
+panel and needs no carry.  It is exact for every p < 2^31: _check_exact
+derives from p, the panel width and the shape what keeps its float64 and
+int64 intermediates exact.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class SplitMix64:
 
 
 # _eliminate_blocked works on the column store in panels of _BLOCK
-# columns, and carries each panel's pivots into the columns right of it
-# _CHUNK_ROWS at a time.
+# columns, or in one panel when there are at most 2 * _BLOCK, and carries
+# each panel's pivots into the columns right of it _CHUNK_ROWS at a time.
 _BLOCK = 64
 _CHUNK_ROWS = 256
 
@@ -202,9 +204,7 @@ def _apply_pivots(
             part %= p
 
 
-def _eliminate_blocked(
-    g: np.ndarray, p: int, block: int | None = None
-) -> tuple[int, list[int]]:
+def _eliminate_blocked(g: np.ndarray, p: int, block: int | None = None) -> tuple[int, list[int]]:
     """Panel elimination with delayed reduction and blocked updates, in
     place on the column store g (g[c] is column c of the matrix).
 
@@ -284,8 +284,8 @@ def _eliminate_blocked(
                 row = g[panel_start:, r].copy()
                 g[panel_start:, r] = g[panel_start:, i0]
                 g[panel_start:, i0] = row
-            # past the pivot row the last nonzero multiplier; the swap moved
-            # a zero to i0
+            # the update ends at the last nonzero multiplier; the swap left
+            # row r's zero at i0
             end = r + int(nz[-1]) + 1 if nz.size > 1 else r + 1
             inv = pow(int(g[c, r]), p - 2, p)
             prow = g[c:panel_end, r]

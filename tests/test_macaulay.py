@@ -73,8 +73,8 @@ class TestMonomials:
                 assert macaulay._exponent_tuples(v, m) == tuple(recursive(v, m)), (v, m)
 
     def test_wide_listings(self):
-        # one tuple per monomial, each built once: 20000 variables at degree
-        # 0 and 300 at degree 2 are listed, not copied once per variable
+        # each tuple is built once, in time linear in v, so 20000 variables
+        # at degree 0 and 300 at degree 2 are listed in milliseconds
         assert macaulay._exponent_tuples(20000, 0) == ((0,) * 20000,)
         wide = macaulay._exponent_tuples(300, 2)
         assert len(wide) == monomial_count(300, 2) == 45150
@@ -562,8 +562,8 @@ class TestTextFormat:
                 read_form_system(text)
 
     def test_header_keys_set_once(self):
-        # a repeated key used to keep its last value (F_5 here) and an
-        # unknown one was ignored
+        # a repeated key must not keep its last value (F_5 in the first
+        # text), nor an unknown key be ignored
         for text in ("p=7 v=2 p=5\n1; 1 0:6\n", "p=7 v=2 q=5\n1; 1 0:6\n",
                      "p=7 v=2 v=2\n", "p=7\n", "p=7 v=2 x\n"):
             with pytest.raises(PreconditionError, match="must set p and v once each"):
