@@ -5,8 +5,11 @@ dimension d+1: R_m lies in the tight closure of (f_1,...,f_n) from
 m = m0 + d on, in the Frobenius closure from m0 + d + 1 on (R normal),
 and in the ideal itself from m0 + d + 1 + a_inv on (R Cohen-Macaulay of
 dimension >= 2 with a-invariant a_inv). Two unconditional-in-genericity
-competitors are the Koszul bound and the strongly-semistable syzygy bound.
-Each bound carries the hypothesis it needs.
+competitors are the Koszul bound, the sum of the d+1 largest degrees, and
+the strongly-semistable syzygy bound ceil(d * total / (n-1)); for d=1 and
+three equal odd degrees a the latter improves the Frobenius bound to
+(3a+1)/2.  Each is one line of bound_report, whose m0 needs n >= d+1, so
+n >= 2 there.  Each bound carries the hypothesis it needs.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from .froeberg import DegreeType, smallest_zero
 __all__ = [
     "BoundReport",
     "BoundTable",
-    "koszul_bound",
-    "semistable_bound",
-    "semistable_frobenius_improvement",
-    "a_invariant_complete_intersection",
     "bound_report",
     "build_table",
 ]
@@ -35,45 +34,6 @@ _HYPOTHESES = {
     "semistable": "the first syzygy bundle of the forms is strongly semistable",
     "semistable_frobenius": "d=1, three equal odd degrees, strongly semistable syzygy bundle",
 }
-
-
-def koszul_bound(dt: DegreeType) -> int:
-    """Sum of the d+1 largest degrees; inclusion bound for tight closure
-    needing no genericity."""
-    if dt.n < dt.d + 1:
-        raise PreconditionError(
-            f"a primary ideal needs at least d+1 generators: n={dt.n}, d={dt.d}"
-        )
-    return sum(dt.degrees[: dt.d + 1])
-
-
-def semistable_bound(dt: DegreeType) -> int:
-    """ceil(d * total / (n-1)), valid when the syzygy bundle of the forms is
-    strongly semistable."""
-    if dt.n < 2:
-        raise PreconditionError(f"semistable bound needs n >= 2, got n={dt.n}")
-    return -(-dt.d * dt.total // (dt.n - 1))
-
-
-def semistable_frobenius_improvement(dt: DegreeType) -> int:
-    """(3a+1)/2 for d=1 and three equal odd degrees a: the Frobenius-closure
-    bound improves by one over the generic value (3a+3)/2."""
-    if not (dt.d == 1 and dt.n == 3 and dt.is_constant and dt.degrees[0] % 2 == 1):
-        raise PreconditionError(
-            "improvement needs d=1 and three equal odd degrees, got "
-            f"d={dt.d}, degrees={dt.degrees}"
-        )
-    return (3 * dt.degrees[0] + 1) // 2
-
-
-def a_invariant_complete_intersection(relation_degrees: tuple[int, ...], v: int) -> int:
-    """a-invariant of a graded complete intersection: sum of the relation
-    degrees minus the number of polynomial-ring variables."""
-    if v < 1:
-        raise PreconditionError(f"need at least one variable, got v={v}")
-    if any(c < 1 for c in relation_degrees):
-        raise PreconditionError(f"relation degrees must be positive: {relation_degrees}")
-    return sum(relation_degrees) - v
 
 
 @dataclass(frozen=True)
@@ -93,14 +53,14 @@ class BoundReport:
 
 def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
     """Every bound for the degree type.  a_invariant = -d-1 makes the ideal
-    bound m0, the inclusion degree in the polynomial ring."""
+    bound m0, the inclusion degree in the polynomial ring; a hypersurface
+    of degree k in v variables has a_invariant = k - v."""
     m0 = smallest_zero(dt)
     tight = m0 + dt.d
     ideal = None if a_invariant is None else tight + 1 + a_invariant
-    try:
-        improved = semistable_frobenius_improvement(dt)
-    except PreconditionError:
-        improved = None
+    a = dt.degrees[0]
+    # (3a+1)/2, one below the generic Frobenius bound (3a+3)/2
+    improved = (3 * a + 1) // 2 if dt.d == 1 and dt.n == 3 and dt.is_constant and a % 2 else None
     names = ["tight", "frobenius", "koszul", "semistable"]
     if ideal is not None:
         names.append("ideal")
@@ -110,8 +70,8 @@ def bound_report(dt: DegreeType, a_invariant: int | None = None) -> BoundReport:
         m0=m0,
         tight=tight,
         frobenius=tight + 1,
-        koszul=koszul_bound(dt),
-        semistable=semistable_bound(dt),
+        koszul=sum(dt.degrees[: dt.d + 1]),
+        semistable=-(-dt.d * dt.total // (dt.n - 1)),
         ideal=ideal,
         a_invariant=a_invariant,
         semistable_frobenius=improved,

@@ -3,7 +3,8 @@
 The hypersurface fixtures are diagonal equations x_0^k + ... + x_v-1^k,
 smooth whenever the characteristic does not divide k, so the rings are
 normal complete-intersection domains by construction and their a-invariants
-are exact: sum of relation degrees minus number of variables.
+are exact: the relation's degree k minus the number v of variables, so
+k - 3 here and -v for the polynomial ring.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import PreconditionError, PrimeField
-from .bounds import a_invariant_complete_intersection
 from .macaulay import Form, FormSystem
 from .quotient import GradedQuotient
 
@@ -72,7 +72,7 @@ def make_fixture(name: str, p: int | None = None, d: int | None = None) -> Fixtu
         return Fixture(
             name=name,
             ring=_diagonal_hypersurface(3, k, prime),
-            a_invariant=a_invariant_complete_intersection((k,), 3),
+            a_invariant=k - 3,
             description=f"F_{prime}[x,y,z] / (x^{k}+y^{k}+z^{k})",
         )
     if name == "poly-ring":
@@ -84,7 +84,7 @@ def make_fixture(name: str, p: int | None = None, d: int | None = None) -> Fixtu
         return Fixture(
             name=name,
             ring=GradedQuotient(FormSystem(field=PrimeField(prime), v=v, forms=())),
-            a_invariant=a_invariant_complete_intersection((), v),
+            a_invariant=-v,
             description=f"F_{prime}[x_0..x_{v - 1}] (no relations)",
         )
     raise PreconditionError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

@@ -262,6 +262,16 @@ def product_support(form: Form, m: int) -> np.ndarray:
     return out
 
 
+def _check_macaulay(v: int, degrees: tuple[int, ...], m: int) -> None:
+    # the degree-m Macaulay matrix of forms of these degrees, sized from
+    # binomials alone: dim P_m rows, one column per product mu * f_i
+    _check_cells(
+        f"Macaulay matrix in degree {m}",
+        monomial_count(v, m),
+        sum(monomial_count(v, m - a) for a in degrees if a <= m),
+    )
+
+
 def _product_columns(system: FormSystem, m: int, levelled: bool) -> tuple[np.ndarray, np.ndarray]:
     """The degree-m Macaulay matrix and the level m - e_0(mu) of each of
     its columns mu * f_i.  Rows are the degree-m monomials and columns are
@@ -271,13 +281,9 @@ def _product_columns(system: FormSystem, m: int, levelled: bool) -> tuple[np.nda
     written once, straight into its column."""
     if m < 0:
         raise PreconditionError(f"degree must be >= 0, got {m}")
+    _check_macaulay(system.v, system.degrees, m)
     forms = [f for f in system.forms if f.degree <= m]
     rows = monomial_count(system.v, m)
-    _check_cells(
-        f"Macaulay matrix in degree {m}",
-        rows,
-        sum(monomial_count(system.v, m - f.degree) for f in forms),
-    )
     levels = np.concatenate(
         [m - _partial_degrees(system.v, m - f.degree)[0] for f in forms]
         or [np.zeros(0, dtype=np.int64)]
@@ -449,6 +455,9 @@ def froeberg_check(
     series = froeberg_series(dt, window)
     clipped = initial_segment(series)
     m0 = smallest_zero(dt) if dt.n >= dt.d + 1 else None
+    # each trial's first build is at min(m0, window) (hilbert_table), so it
+    # is sized before any draw; a draw with a zero form only starts higher
+    _check_macaulay(v, dt.degrees, window if m0 is None else min(m0, window))
 
     results = []
     for t in range(trials):

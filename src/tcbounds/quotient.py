@@ -5,11 +5,11 @@ part of I*R is the image of I_m in R_m = P_m / J_m, so ideal membership,
 Frobenius-power membership f^q in I^[q], and tight-closure witness tests
 all reduce to exact rank computations in R_m.
 
-The leading monomials of J's relations must be pairwise coprime.  J is then
-a Groebner basis by Buchberger's first criterion, the monomials that no
-leading monomial divides are a basis of R_m, and the normal form
-NF: P_m -> R_m follows by division, with no elimination (Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
+J is zero or one relation f, so R is P or the hypersurface P/(f).  A
+single relation is a Groebner basis of its own ideal, the monomials that
+its leading monomial does not divide are a basis of R_m, and the normal
+form NF: P_m -> R_m follows by division, with no elimination (Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
 section 3).  A membership test eliminates only the residual, NF of each
 generator g of I times the standard monomials of degree m - deg g, a
 (sum_g dim R_{m - deg g}) x dim R_m matrix, and reports rank J_m plus its
@@ -55,11 +55,11 @@ __all__ = [
 
 
 class GradedQuotient:
-    """R = P/J for a homogeneous system of relations J (J may be empty)
-    whose leading monomials are pairwise coprime.  P's field and variable
-    count are those of the system.
+    """R = P/J for J empty or one homogeneous relation of positive degree;
+    a second relation is refused.  P's field and variable count are those
+    of the system.
 
-    The leading monomial of a relation is its first term, the largest in
+    The leading monomial of the relation is its first term, the largest in
     the canonical (degrevlex) order.  J's fully reduced echelons (normal
     forms) are cached per degree.
     """
@@ -67,20 +67,15 @@ class GradedQuotient:
     def __init__(self, modulus: FormSystem):
         if modulus.v < 1:
             raise PreconditionError(f"need at least one variable, got v={modulus.v}")
-        leads: list[tuple[int, ...]] = []
+        if len(modulus.forms) > 1:
+            raise PreconditionError(
+                f"the ring takes at most one relation, got {len(modulus.forms)}"
+            )
         for f in modulus.forms:
             if f.degree < 1:
                 raise PreconditionError("modulus forms must have degree >= 1")
             if f.is_zero:
                 raise PreconditionError("modulus forms must be nonzero")
-            lead = f.terms[0][0]
-            for other in leads:
-                if any(a and b for a, b in zip(lead, other)):
-                    raise PreconditionError(
-                        f"leading monomials {other} and {lead} of the modulus "
-                        "are not coprime"
-                    )
-            leads.append(lead)
         self.field = modulus.field
         self.v = modulus.v
         self.modulus = modulus
@@ -88,14 +83,13 @@ class GradedQuotient:
 
     @property
     def krull_dimension(self) -> int:
-        # pairwise coprime leading monomials (checked in __init__) are a
-        # regular sequence, so the relations are one too: P/J has the
-        # Hilbert series of P/in(J), a complete intersection
+        # a nonzero relation is a nonzerodivisor of the domain P, so P/(f)
+        # has dimension v - 1
         return self.v - len(self.modulus.forms)
 
     def relation_echelon(self, m: int) -> _NormalForm:
         """J_m's fully reduced echelon, kept as the normal form it defines:
-        `pivot` marks its pivot columns, the monomials mu that a leading
+        `pivot` marks its pivot columns, the monomials mu that the leading
         monomial divides, and its row for mu is e_mu - NF(mu), with NF(mu)
         a row of `table`."""
         if m < 0:
@@ -107,43 +101,36 @@ class GradedQuotient:
             self._relation_echelons[m] = cached
         return cached
 
-    def _lead_multiples(self, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        # the degree-m monomials that a leading monomial divides, read from
-        # column 0 of each relation's product support (its first term leads),
-        # and per relation the rows of that support whose mu = LM(f) * nu no
-        # earlier relation's leading monomial divides
+    def _lead_multiples(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        # the degree-m monomials mu = LM(f) * nu that the leading monomial
+        # divides, and f's product support: its column 0 holds each mu (the
+        # first term leads) and its other columns nu * t for f's other
+        # terms t
         pivot = np.zeros(monomial_count(self.v, m), dtype=bool)
-        supports = []
+        support = np.zeros((0, 1), dtype=np.int64)
         for f in self.modulus.forms:
             support = product_support(f, m)
-            support = support[~pivot[support[:, 0]]]
             pivot[support[:, 0]] = True
-            supports.append(support)
-        return pivot, supports
+        return pivot, support
 
     def _divide(self, m: int) -> _NormalForm:
         # mu = LM(f) * nu has NF(mu) = -lc^-1 * sum_t c_t NF(nu * t) over
-        # f's other terms t.  Each mu is divided by the first relation whose
-        # leading monomial divides it (any choice gives the same NF for a
-        # Groebner basis).  Each pass computes NF of the pivots not yet done
-        # whose nu * t are all done.  Every nu * t comes after mu in the
-        # canonical order, so the last pivot not yet done always qualifies
-        # and each pass makes progress.
+        # f's other terms t.  Each pass computes NF of the pivots not yet
+        # done whose nu * t are all done.  Every nu * t comes after mu in
+        # the canonical order, so the last pivot not yet done always
+        # qualifies and each pass makes progress.
         p = self.field.p
-        pivot, supports = self._lead_multiples(m)
-        # (relation, the mu it divides, their nu * t)
-        work = [(f, s[:, 0], s[:, 1:]) for f, s in zip(self.modulus.forms, supports)]
+        pivot, support = self._lead_multiples(m)
         rank = int(pivot.sum())
         nf = _NormalForm(pivot, np.zeros((rank, pivot.size - rank), dtype=np.int64), p)
+        mus, rest = support[:, 0], support[:, 1:]
         done = ~pivot
-        while not done.all():
-            for f, mus, rest in work:
+        for f in self.modulus.forms:
+            coeffs, scale = [c for _, c in f.terms[1:]], p - self.field.inv(f.terms[0][1])
+            while not done.all():
                 now = ~done[mus] & done[rest].all(axis=1)
-                if now.any():
-                    residue = nf.of(rest[now], [c for _, c in f.terms[1:]])
-                    scale = p - self.field.inv(f.terms[0][1])
-                    nf.table[nf.index[mus[now]]] = residue * scale % p
-                    done[mus[now]] = True
+                nf.table[nf.index[mus[now]]] = nf.of(rest[now], coeffs) * scale % p
+                done[mus[now]] = True
         return nf
 
 
@@ -183,8 +170,8 @@ def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[tuple[int, ...]]:
     """Exponent tuples of the monomials whose classes form a basis of R_m:
-    those that no leading monomial of J divides, the non-pivot coordinates
-    of J_m's echelon."""
+    those that the relation's leading monomial does not divide, the
+    non-pivot coordinates of J_m's echelon."""
     pivot = ring.relation_echelon(m).pivot
     return [mono for mono, piv in zip(monomials_of_degree(ring.v, m), pivot) if not piv]
 
@@ -206,6 +193,12 @@ def _stacked_shape(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> tu
     return rows, monomial_count(ring.v, m)
 
 
+def _check_membership(ring: GradedQuotient, degrees: tuple[int, ...], m: int) -> None:
+    # a membership test in degree m for an ideal of the given degrees,
+    # sized from binomials alone, so that it can be refused before a draw
+    _check_cells(f"membership test in degree {m}", *_stacked_shape(ring, degrees, m))
+
+
 class MembershipOracle:
     """Membership in (I^[q] + J)_m inside P_m, i.e. in I^[q]*R at degree m.
 
@@ -223,12 +216,12 @@ class MembershipOracle:
         if ideal.v != ring.v:
             raise PreconditionError("ideal variable count does not match ring")
         self.ring, self.ideal, self.degree = ring, frobenius_power_ideal(ideal, q), m
-        shape = _stacked_shape(ring, self.ideal.degrees, m)
-        _check_cells(f"membership test in degree {m}", *shape)
+        _check_membership(ring, self.ideal.degrees, m)
 
     def _products(self, nf: _NormalForm, form: Form) -> np.ndarray:
         """NF of b * form for the standard monomials b of degree m - deg form,
-        those that no leading monomial divides, in canonical order."""
+        those that the leading monomial does not divide, in canonical
+        order."""
         standard = ~self.ring._lead_multiples(self.degree - form.degree)[0]
         support = product_support(form, self.degree)[standard]
         return nf.of(support, [c for _, c in form.terms])
@@ -293,13 +286,16 @@ class WitnessScanReport:
     passing: tuple[int, ...]
 
 
-def _q_powers(ring: GradedQuotient, ideal: FormSystem, q_max: int, base: int) -> tuple[int, ...]:
+def _q_powers(
+    ring: GradedQuotient, degrees: tuple[int, ...], q_max: int, base: int
+) -> tuple[int, ...]:
     """q = p, p^2, ... up to q_max, stopping at the first q whose test in
-    (I^[q] + J) at degree q * base would exceed the size cap."""
+    (I^[q] + J) at degree q * base, for I of the given degrees, would
+    exceed the size cap."""
     qs = []
     q = ring.field.p
     while q <= q_max:
-        shape = _stacked_shape(ring, tuple(q * a for a in ideal.degrees), q * base)
+        shape = _stacked_shape(ring, tuple(q * a for a in degrees), q * base)
         if _over_cap(*shape):
             break
         qs.append(q)
@@ -406,6 +402,7 @@ def verify_theorem_c(
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
+    _check_membership(ring, dt.degrees, bound)  # the first test, before any draw
     rng = SplitMix64(seed)
     draws = 0
     degree = None
@@ -466,16 +463,18 @@ def verify_theorem_b(
         q_max = p**4
     if q_max < 1:
         raise PreconditionError(f"q_max must be >= 1, got {q_max}")
-    if ideal is None:
-        ideal = random_form_system(ring.v, dt.degrees, ring.field, SplitMix64(seed))
-    elif tuple(sorted(ideal.degrees, reverse=True)) != dt.degrees:
+    if ideal is not None and tuple(sorted(ideal.degrees, reverse=True)) != dt.degrees:
         raise PreconditionError(
             f"ideal degrees {ideal.degrees} do not match degree type {dt.degrees}"
         )
     bound = bound_report(dt).frobenius
 
-    q_list = (1,) + _q_powers(ring, ideal, q_max, bound)
-    # every test is sized before any is run
+    # every test is sized before any is run: _q_powers stops below the
+    # cap, so only the q = 1 test can be refused, and it is before a draw
+    q_list = (1,) + _q_powers(ring, dt.degrees, q_max, bound)
+    _check_membership(ring, dt.degrees, bound)
+    if ideal is None:
+        ideal = random_form_system(ring.v, dt.degrees, ring.field, SplitMix64(seed))
     oracles = [MembershipOracle(ring, ideal, q * bound, q) for q in q_list]
 
     basis = ring_basis(ring, bound)

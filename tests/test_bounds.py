@@ -9,14 +9,8 @@ import pytest
 
 from tcbounds import bounds
 from tcbounds.arith import PreconditionError, SplitMix64
-from tcbounds.bounds import (
-    a_invariant_complete_intersection,
-    bound_report,
-    build_table,
-    koszul_bound,
-    semistable_bound,
-    semistable_frobenius_improvement,
-)
+from tcbounds.bounds import bound_report, build_table
+from tcbounds.fixtures import make_fixture
 from tcbounds.froeberg import DegreeType, smallest_zero
 
 
@@ -54,32 +48,60 @@ class TestGenericBounds:
 
 
 class TestCompetingBounds:
+    """The Koszul, semistable and improved Frobenius bounds, read from
+    bound_report."""
+
     def test_koszul(self):
-        assert koszul_bound(DegreeType.constant(2, 5, 10)) == 30
-        assert koszul_bound(DegreeType(1, (3, 2, 2, 1))) == 5
-        assert koszul_bound(DegreeType.constant(3, 7, 10)) == 40
+        assert bound_report(DegreeType.constant(2, 5, 10)).koszul == 30
+        assert bound_report(DegreeType(1, (3, 2, 2, 1))).koszul == 5
+        assert bound_report(DegreeType.constant(3, 7, 10)).koszul == 40
+        # fewer than d+1 forms: no m0, so no report
         with pytest.raises(PreconditionError):
-            koszul_bound(DegreeType(2, (4, 4)))
+            bound_report(DegreeType(2, (4, 4)))
 
     def test_semistable(self):
-        assert semistable_bound(DegreeType.constant(2, 5, 10)) == 25
-        assert semistable_bound(DegreeType.constant(3, 9, 10)) == 34
-        assert semistable_bound(DegreeType.constant(1, 2, 10)) == 20
+        assert bound_report(DegreeType.constant(2, 5, 10)).semistable == 25
+        assert bound_report(DegreeType.constant(3, 9, 10)).semistable == 34
+        assert bound_report(DegreeType.constant(1, 2, 10)).semistable == 20
+        # n = 1 would divide by n - 1 = 0; n >= d+1 >= 2 refuses it first
         with pytest.raises(PreconditionError):
-            semistable_bound(DegreeType(1, (5,)))
+            bound_report(DegreeType(1, (5,)))
 
     def test_semistable_frobenius_improvement(self):
-        assert semistable_frobenius_improvement(DegreeType.constant(1, 3, 5)) == 8
-        assert semistable_frobenius_improvement(DegreeType.constant(1, 3, 1)) == 2
-        assert semistable_frobenius_improvement(DegreeType.constant(1, 3, 11)) == 17
-        for bad in (
+        assert bound_report(DegreeType.constant(1, 3, 5)).semistable_frobenius == 8
+        assert bound_report(DegreeType.constant(1, 3, 1)).semistable_frobenius == 2
+        assert bound_report(DegreeType.constant(1, 3, 11)).semistable_frobenius == 17
+        for other in (
             DegreeType.constant(1, 3, 4),
             DegreeType.constant(2, 3, 5),
             DegreeType.constant(1, 4, 5),
             DegreeType(1, (5, 5, 3)),
         ):
-            with pytest.raises(PreconditionError):
-                semistable_frobenius_improvement(bad)
+            report = bound_report(other)
+            assert report.semistable_frobenius is None
+            assert "semistable_frobenius" not in dict(report.notes)
+
+    def test_against_references(self):
+        # each field of a seeded sweep against a reference computed another
+        # way: sorted degrees, an exact ceiling, a Fraction
+        rng = SplitMix64(22)
+        improved = 0
+        for _ in range(2000):
+            d = 1 + rng.next_below(5)
+            n = d + 1 + rng.next_below(6)
+            if rng.next_below(4):
+                degrees = tuple(1 + rng.next_below(12) for _ in range(n))
+            else:
+                degrees = (1 + rng.next_below(12),) * n
+            report = bound_report(DegreeType(d, degrees))
+            assert report.koszul == sum(sorted(degrees)[-(d + 1) :])
+            assert report.semistable == math.ceil(Fraction(d * sum(degrees), n - 1))
+            a = degrees[0]
+            odd_triple = d == 1 and degrees == (a, a, a) and a % 2 == 1
+            expected = Fraction(3 * a + 1, 2) if odd_triple else None
+            assert report.semistable_frobenius == expected
+            improved += expected is not None
+        assert improved > 0
 
     def test_ordering_sweep(self):
         # generic <= semistable <= koszul for constant degrees, n >= d+2
@@ -87,26 +109,29 @@ class TestCompetingBounds:
         for d in (1, 2, 3):
             for a in range(1, 51):
                 for n in range(d + 2, 31):
-                    dt = DegreeType.constant(d, n, a)
-                    g = bound_report(dt).tight
-                    s = semistable_bound(dt)
-                    k = koszul_bound(dt)
+                    report = bound_report(DegreeType.constant(d, n, a))
+                    g, s, k = report.tight, report.semistable, report.koszul
                     if not g <= s <= k:
                         violations.append((d, n, a, g, s, k))
         assert violations == []
 
 
 class TestAInvariant:
+    """A hypersurface of degree k in v variables has a-invariant k - v,
+    and the polynomial ring in v variables has -v."""
+
     def test_hypersurfaces(self):
-        assert a_invariant_complete_intersection((3,), 3) == 0
-        assert a_invariant_complete_intersection((4,), 3) == 1
-        assert a_invariant_complete_intersection((), 4) == -4
+        assert make_fixture("fermat-cubic").a_invariant == 0
+        assert make_fixture("fermat-cubic-p2").a_invariant == 0
+        assert make_fixture("fermat-quartic").a_invariant == 1
+        assert make_fixture("poly-ring", d=3).a_invariant == -4
 
     def test_validation(self):
+        # the polynomial ring needs d >= 1, so at least two variables
         with pytest.raises(PreconditionError):
-            a_invariant_complete_intersection((3,), 0)
+            make_fixture("poly-ring", d=0)
         with pytest.raises(PreconditionError):
-            a_invariant_complete_intersection((0,), 3)
+            make_fixture("poly-ring")
 
 
 class TestBoundReport:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -521,6 +523,30 @@ class TestFroebergCheck:
     def test_rejects_no_trials(self):
         with pytest.raises(PreconditionError):
             froeberg_check(1, (2, 2), F, trials=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "d,degrees,top",
+        [
+            # a parameter type: m0 = window = 302 - 150, M_152 in 151 variables
+            (150, (2,) * 151, 152),
+            # fewer than d+1 forms: no m0, so the first build is at the window 32
+            (4, (12, 12, 12), 32),
+        ],
+    )
+    def test_refused_before_any_draw(self, monkeypatch, d, degrees, top):
+        def no_draw(*args):
+            raise AssertionError("a form was drawn")
+
+        monkeypatch.setattr(macaulay, "random_form_system", no_draw)
+        rows = math.comb(top + d, d)
+        cols = sum(math.comb(top - a + d, d) for a in degrees)
+        message = (
+            f"Macaulay matrix in degree {top} needs a {rows} x {cols} matrix "
+            f"({rows * cols} cells), over the cap of {2**26}"
+        )
+        with pytest.raises(PreconditionError) as refused:
+            froeberg_check(d, degrees, F, trials=1, seed=7)
+        assert str(refused.value) == message
 
 
 class TestTextFormat:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -563,17 +565,14 @@ class TestAgainstDirectRanks:
             assert dict(report.elements)[(0, 0, 3)] == 5
 
 
-def _two_relation_ring(p):
-    # dense relations led by 2 * x^2 ... and by y^3: coprime leading
-    # monomials, leading coefficients other than 1, and two relations
-    field = PrimeField(p)
+def _dense_relation_ring(p):
+    # one dense cubic, every degree-3 monomial with a nonzero coefficient,
+    # led by c * x^3 with c != 1, so that division scales by c^-1
     rng = SplitMix64(5)
-    forms = []
-    for lead in ((2, 0, 0), (0, 3, 0)):
-        monos = monomials_of_degree(3, sum(lead))
-        later = monos[monos.index(lead) :]
-        forms.append(Form.make(3, sum(lead), {e: 1 + rng.next_below(p - 1) for e in later}))
-    return GradedQuotient(FormSystem(field=field, v=3, forms=tuple(forms)))
+    coeffs = {e: 1 + rng.next_below(p - 1) for e in monomials_of_degree(3, 3)}
+    coeffs[(3, 0, 0)] = 2 + rng.next_below(p - 2)
+    relation = Form.make(3, 3, coeffs)
+    return GradedQuotient(FormSystem(field=PrimeField(p), v=3, forms=(relation,)))
 
 
 def _divides(lead, exps):
@@ -581,13 +580,15 @@ def _divides(lead, exps):
 
 
 class TestRingContract:
-    """The relations' leading monomials are pairwise coprime, so J is a
-    Groebner basis and R_m is computed by division."""
+    """J is zero or one relation, a Groebner basis of its own ideal, so
+    R_m is computed by division."""
 
-    def test_non_coprime_leading_monomials_refused(self):
+    def test_second_relation_refused(self):
+        # coprime leading monomials x^2 and y^3 do not make a second
+        # relation admissible
         field = PrimeField(7)
-        forms = (monomial_form(3, (2, 0, 0)), monomial_form(3, (1, 1, 0)))
-        with pytest.raises(PreconditionError, match="not coprime"):
+        forms = (monomial_form(3, (2, 0, 0)), monomial_form(3, (0, 3, 0)))
+        with pytest.raises(PreconditionError, match="at most one relation, got 2"):
             GradedQuotient(FormSystem(field=field, v=3, forms=forms))
 
     def test_zero_relation_refused(self):
@@ -615,8 +616,8 @@ class TestRingContract:
             make_fixture("fermat-cubic", p=5).ring,
             make_fixture("fermat-quartic", p=7).ring,
             make_fixture("fermat-cubic", p=2**31 - 1).ring,
-            _two_relation_ring(7),
-            _two_relation_ring(2**31 - 1),
+            _dense_relation_ring(7),
+            _dense_relation_ring(2**31 - 1),
         ],
     )
     def test_relation_echelon_is_fully_reduced(self, ring):
@@ -638,9 +639,10 @@ class TestRingContract:
             assert fp_rank(np.vstack([rows, ref.rows]), p) == rank
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
-    def test_two_relations_against_direct_ranks(self, p):
-        ring = _two_relation_ring(p)
-        assert ring.krull_dimension == 1
+    def test_dense_relation_against_direct_ranks(self, p):
+        ring = _dense_relation_ring(p)
+        assert ring.modulus.forms[0].terms[0][1] != 1
+        assert ring.krull_dimension == 2
         rng = SplitMix64(31)
         ideals = (
             variables_ideal(ring, 1),
@@ -662,7 +664,7 @@ _RESIDUAL_RINGS = {
     "fermat-quartic-3": make_fixture("fermat-quartic", p=3).ring,
     # no relations: every shift is standard
     "poly-ring-2": make_fixture("poly-ring", p=3, d=2).ring,
-    "two-relations-7": _two_relation_ring(7),
+    "dense-cubic-7": _dense_relation_ring(7),
 }
 
 
@@ -719,7 +721,7 @@ class TestSizeCap:
         # (x, y) at bound 2 with q_max = 5^4: at q = 125 the degree-250 test
         # would stack 30876 + 2 * 8001 rows over 31626 columns
         ideal = variables_ideal(cubic5.ring, 2)
-        assert quotient._q_powers(cubic5.ring, ideal, 5**4, 2) == (5, 25)
+        assert quotient._q_powers(cubic5.ring, ideal.degrees, 5**4, 2) == (5, 25)
 
     def test_scan_refused_before_allocating(self, cubic5, no_matrices):
         # the first test at q = 125 is in degree 250: 30876 + 2 * 8001 rows
@@ -734,6 +736,39 @@ class TestSizeCap:
         # f^25 for a quintic f lies in degree 125
         with pytest.raises(PreconditionError, match=r"17928 x 8001 matrix"):
             MembershipOracle(cubic5.ring, variables_ideal(cubic5.ring, 2), 125, 25)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form was drawn")
+
+        monkeypatch.setattr(quotient, "random_form_system", refuse)
+
+    @staticmethod
+    def _refusal(v, degrees, m):
+        # the stacked shape over P = F_p[x_0..x_{v-1}] with no relations
+        rows = sum(math.comb(m - a + v - 1, v - 1) for a in degrees)
+        cols = math.comb(m + v - 1, v - 1)
+        return (
+            f"membership test in degree {m} needs a {rows} x {cols} matrix "
+            f"({rows * cols} cells), over the cap of {2**26}"
+        )
+
+    def test_theorem_c_refused_before_drawing(self, no_draws):
+        # 151 quadrics in 151 variables: C = m0 + d + 1 + a = 152 + 151 - 151
+        dt = DegreeType.constant(150, 151, 2)
+        ring = make_fixture("poly-ring", d=150).ring
+        with pytest.raises(PreconditionError) as refused:
+            verify_theorem_c(ring, dt, a_invariant=-151, seed=7)
+        assert str(refused.value) == self._refusal(151, dt.degrees, 152)
+
+    def test_theorem_b_refused_before_drawing(self, no_draws):
+        # 101 quadrics in 101 variables: B = m0 + d + 1 = 102 + 101
+        dt = DegreeType.constant(100, 101, 2)
+        ring = make_fixture("poly-ring", d=100).ring
+        with pytest.raises(PreconditionError) as refused:
+            verify_theorem_b(ring, dt, q_max=1)
+        assert str(refused.value) == self._refusal(101, dt.degrees, 203)
 
     def test_ring_eliminations_refused_before_allocating(self, cubic5, no_matrices):
         # J's product rows at m = 3000: C(2999, 2) rows over C(3002, 2) columns
