@@ -466,16 +466,17 @@ class TestDefaultWidth:
 
 def _scan_residuals(p: int, q: int) -> list[np.ndarray]:
     """The residuals that one tight_witness_scan of z^2 against (x, y) on
-    the Fermat cubic eliminates, with the scan's default witnesses."""
+    the Fermat cubic builds, with the scan's default witnesses."""
     ring = fixtures.make_fixture("fermat-cubic", p=p).ring
     residuals = []
+    residual = quotient.MembershipOracle._residual
 
-    def recording(matrix, field):
-        residuals.append(np.array(matrix, dtype=np.int64))
-        return fp_echelon(matrix, field)
+    def recording(oracle):
+        residuals.append(residual(oracle))
+        return residuals[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quotient, "fp_echelon", recording)
+        patch.setattr(quotient.MembershipOracle, "_residual", recording)
         quotient.tight_witness_scan(ring, fixtures.variables_ideal(ring, 2),
                                     Form.make(3, 2, {(0, 0, 2): 1}), q_list=(q,))
     return residuals
@@ -499,6 +500,35 @@ class TestScanResiduals:
                 ech = fp_echelon(b, p)
                 assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
                 assert ech.rows.tolist() == rows
+
+
+    def test_only_the_rest_is_eliminated(self):
+        # the saving of the unit-row split: no unit row, and no column of
+        # one, reaches fp_echelon
+        ring = fixtures.make_fixture("fermat-cubic", p=13).ring
+        oracles, handed = [], []
+        residual = quotient.MembershipOracle._residual
+
+        def recording_residual(oracle):
+            oracles.append(oracle)
+            return residual(oracle)
+
+        def recording_echelon(matrix, field):
+            handed.append(np.array(matrix, dtype=np.int64))
+            return fp_echelon(matrix, field)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotient.MembershipOracle, "_residual", recording_residual)
+            patch.setattr(quotient, "fp_echelon", recording_echelon)
+            quotient.tight_witness_scan(ring, fixtures.variables_ideal(ring, 2),
+                                        Form.make(3, 2, {(0, 0, 2): 1}), q_list=(13,))
+        assert [a.shape for a in handed] == [(4, 5), (0, 0), (0, 0)]
+        for oracle, a in zip(oracles, handed):
+            full = residual(oracle)
+            _, kept, _ = oracle._eliminated
+            assert a.shape[1] == kept.sum()
+            assert not full[np.count_nonzero(full, axis=1) == 1][:, kept].any()
+            assert not (np.count_nonzero(a, axis=1) == 1).any()
 
 
 class TestBlockedExactness:

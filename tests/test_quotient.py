@@ -688,14 +688,15 @@ class TestResidual:
         ideal = random_form_system(ring.v, tuple(degrees), ring.field, SplitMix64(seed))
         m = max(0, q * max(degrees) - below)
         seen = []
+        residual_of = MembershipOracle._residual
 
-        def record(matrix, field):
-            seen.append(matrix)
-            return fp_echelon(matrix, field)
+        def record(oracle):
+            seen.append(residual_of(oracle))
+            return seen[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quotient, "fp_echelon", record)
-            rank = MembershipOracle(ring, ideal, m, q).echelon.rank
+            patch.setattr(MembershipOracle, "_residual", record)
+            rank, _, _ = MembershipOracle(ring, ideal, m, q)._eliminated
         (residual,) = seen
         rows = sum(ring_dimension_at(ring, m - q * a) for a in degrees if q * a <= m)
         assert residual.shape == (rows, ring_dimension_at(ring, m))
@@ -703,6 +704,67 @@ class TestResidual:
         zero = np.zeros(len(monomials_of_degree(ring.v, m)), dtype=np.int64)
         stacked, _ = _direct_ranks(ring, ideal_q, zero, m)
         assert ring.relation_echelon(m).table.shape[0] + rank == stacked
+
+
+def _unit_row_ideals(ring):
+    # one ideal for each kind of residual, with the fact that makes it that
+    # kind, read from the residual of the first pass
+    x, y, z = (monomial_form(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    x_plus_y = Form.make(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1})
+
+    def ideal(*forms):
+        return FormSystem(field=ring.field, v=3, forms=forms)
+
+    def no_unit_rows(residual):
+        return len(residual) and (np.count_nonzero(residual, axis=1) > 1).all()
+
+    def only_unit_rows(residual):
+        return len(residual) and (np.count_nonzero(residual, axis=1) == 1).all()
+
+    def a_column_twice(residual):
+        # two unit rows on one column, with different scalars
+        unit = residual[np.count_nonzero(residual, axis=1) == 1]
+        scalars = {}
+        for c, s in zip(unit.nonzero()[1], unit[unit.nonzero()]):
+            scalars.setdefault(int(c), set()).add(int(s))
+        return any(len(found) > 1 for found in scalars.values())
+
+    def a_vanishing_row(residual):
+        # a non-unit row that is zero off the unit rows' columns
+        count = np.count_nonzero(residual, axis=1)
+        covered = residual[count == 1].any(axis=0)
+        return ((count > 1) & ~residual[:, ~covered].any(axis=1)).any()
+
+    return (
+        (random_form_system(3, (2, 2), ring.field, SplitMix64(41)), no_unit_rows),
+        (ideal(y, z), only_unit_rows),
+        (ideal(y, monomial_form(3, (0, 1, 0), 2)), a_column_twice),
+        (ideal(x, y, x_plus_y), a_vanishing_row),
+    )
+
+
+class TestUnitRows:
+    """The oracle peels the unit rows, those with one nonzero entry, off
+    the residual and eliminates only the rest on the columns that they do
+    not cover.  Its ranks and verdicts are still those of the stacked
+    matrix, on each kind of residual."""
+
+    @pytest.mark.parametrize("kind", range(4))
+    @pytest.mark.parametrize("p", [7, 2**31 - 1])
+    def test_against_direct_ranks(self, kind, p):
+        ring = make_fixture("fermat-cubic", p=p).ring
+        ideal, is_kind = _unit_row_ideals(ring)[kind]
+        rng = SplitMix64(43)
+        for m in (3, 5, 7):
+            assert is_kind(MembershipOracle(ring, ideal, m)._residual())
+            g = ideal.forms[-1]
+            member = form_product(g, random_form(3, m - g.degree, ring.field, rng), p)
+            forms = [monomial_form(3, e) for e in monomials_of_degree(3, m)]
+            forms += [random_form(3, m, ring.field, rng), member]
+            verdicts = MembershipOracle(ring, ideal, m).verdicts(forms)
+            for f, verdict in zip(forms, verdicts):
+                _assert_true_ranks(ring, ideal, f, verdict)
+            assert verdicts[-1].contained
 
 
 class TestSizeCap:
