@@ -116,6 +116,7 @@ class GradedQuotient:
             mask = np.ones(monomial_count(self.v, m), dtype=bool)
             for f in self.modulus.forms:
                 mask[product_support(f, m)[:, 0]] = False
+            mask.flags.writeable = False  # shared by every caller
             self._standard_masks[m] = mask
         return mask
 

@@ -501,7 +501,6 @@ class TestScanResiduals:
                 assert (ech.rank, ech.pivot_columns) == (rank, tuple(pivots))
                 assert ech.rows.tolist() == rows
 
-
     def test_only_the_rest_is_eliminated(self):
         # the saving of the unit-row split: no unit row, and no column of
         # one, reaches fp_echelon

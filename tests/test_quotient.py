@@ -707,8 +707,8 @@ class TestResidual:
 
 
 def _unit_row_ideals(ring):
-    # one ideal for each kind of residual, with the fact that makes it that
-    # kind, read from the residual of the first pass
+    # one ideal for each kind of residual, with a check that its residual
+    # is of that kind
     x, y, z = (monomial_form(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     x_plus_y = Form.make(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1})
 
@@ -724,8 +724,9 @@ def _unit_row_ideals(ring):
     def a_column_twice(residual):
         # two unit rows on one column, with different scalars
         unit = residual[np.count_nonzero(residual, axis=1) == 1]
+        rows, cols = unit.nonzero()
         scalars = {}
-        for c, s in zip(unit.nonzero()[1], unit[unit.nonzero()]):
+        for c, s in zip(cols, unit[rows, cols]):
             scalars.setdefault(int(c), set()).add(int(s))
         return any(len(found) > 1 for found in scalars.values())
 
