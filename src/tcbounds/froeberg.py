@@ -2,18 +2,18 @@
 Hilbert series, the smallest zero m0, and closed forms for m0.
 
 For a degree type (a_1,...,a_n) in a polynomial ring with d+1 variables,
-F(m) is the alternating sum over sub-multisets B of the degrees of
-(-1)^|B| * C(d + m - sum(B), d), equivalently the degree-m coefficient of
-prod(1 - t^(a_i)) / (1 - t)^(d+1). Its first non-positive index m0 is the
-degree from which a generic ideal of that type contains the whole ring.
+F(m) is the degree-m coefficient of prod(1 - t^(a_i)) / (1 - t)^(d+1),
+read from one sparse numerator {w: c_w} of prod(1 - t^(a_i)). Its first
+non-positive index m0 is the degree from which a generic ideal of that
+type contains the whole ring.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, repeat
 
 from .arith import PreconditionError, binom
 
@@ -70,50 +70,50 @@ class DegreeType:
         return self.degrees[0] == self.degrees[-1]
 
 
-def froeberg_value(dt: DegreeType, m: int) -> int:
-    """F(m): alternating sub-multiset sum, exact.
+def _numerator(dt: DegreeType, top: int) -> dict[int, int]:
+    """Nonzero coefficients {w: c_w} of prod(1 - t^(a_i)), truncated to the
+    exponents w <= top: F up to top reads no higher term."""
+    num = {0: 1}
+    for a in dt.degrees:
+        for w, c in list(num.items()):
+            if w + a <= top:
+                num[w + a] = num.get(w + a, 0) - c
+    return {w: c for w, c in num.items() if c}
 
-    Sub-multisets are enumerated by multiplicity vectors over the distinct
-    degrees, so repeated degrees cost polynomially, not 2^n.  A degree a
-    is taken at most m // a times: a heavier sub-multiset has weight > m,
-    and its binomial is 0.
-    """
+
+def _values(dt: DegreeType, top: int) -> Iterator[int]:
+    """F(0), ..., F(top), lazily: d + 1 running sums of the numerator's
+    coefficients, carried across blocks of 4096 degrees (a chain of d + 1
+    lazy accumulate()s would overflow the C stack near d = 10^6)."""
+    num = _numerator(dt, top)
+    carries = [0] * (dt.d + 1)
+    for start in range(0, top + 1, 4096):
+        block = list(map(num.get, range(start, min(start + 4096, top + 1)), repeat(0)))
+        for i, carry in enumerate(carries):
+            block[0] += carry
+            block = list(accumulate(block))
+            carries[i] = block[-1]
+        yield from block
+
+
+def froeberg_value(dt: DegreeType, m: int) -> int:
+    """F(m) = sum over the numerator's terms c_w t^w, w <= m, of
+    c_w * C(d + m - w, d), exact."""
     if m < 0:
         raise PreconditionError(f"m must be >= 0, got {m}")
-    counts = Counter(dt.degrees)
-    distinct = sorted(counts)
-    total = 0
-    for mults in product(*(range(min(counts[a], m // a) + 1) for a in distinct)):
-        size = sum(mults)
-        weight = sum(k * a for k, a in zip(mults, distinct))
-        term = binom(dt.d + m - weight, dt.d)
-        if term == 0:
-            continue
-        coeff = 1
-        for k, a in zip(mults, distinct):
-            coeff *= math.comb(counts[a], k)
-        total += (-1) ** size * coeff * term
-    return total
+    return sum(c * binom(dt.d + m - w, dt.d) for w, c in _numerator(dt, m).items())
 
 
 def froeberg_series(dt: DegreeType, cutoff: int) -> tuple[int, ...]:
     """Coefficients of prod(1 - t^(a_i)) / (1 - t)^(d+1) up to the cutoff,
     indexed by degree.
 
-    Computed as a series, independently of froeberg_value; the two must
-    agree coefficient by coefficient.  Each factor 1 - t^a is one in-place
-    pass from the top degree down, and each factor 1/(1 - t) one prefix
-    sum, so the cost is (n + d + 1) passes over the cutoff.
+    Read from the same numerator as froeberg_value, by d + 1 running
+    sums, so the two do not check each other.
     """
     if cutoff < 0:
         raise PreconditionError(f"cutoff must be >= 0, got {cutoff}")
-    coeffs = [1] + [0] * cutoff
-    for a in dt.degrees:
-        for m in range(cutoff, a - 1, -1):
-            coeffs[m] -= coeffs[m - a]
-    for _ in range(dt.d + 1):
-        coeffs = list(accumulate(coeffs))
-    return tuple(coeffs)
+    return tuple(_values(dt, cutoff))
 
 
 def initial_segment(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,11 +132,10 @@ def initial_segment(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def smallest_zero(dt: DegreeType) -> int:
-    """m0 = min{m : F(m) <= 0}; requires n >= d+1, and m0 <= total - d.
+    """m0 = min{m : F(m) <= 0}; requires n >= d+1.
 
-    The generating polynomial has degree total - d - 1 when n >= d+1, so the
-    scan is guaranteed to terminate by total - d.  For n = d+1 it is
-    prod(1 + t + ... + t^(a_i - 1)), positive up to that degree, so m0 is
+    For n = d+1 the generating polynomial is prod(1 + t + ... +
+    t^(a_i - 1)), positive up to its degree total - d - 1, so m0 is
     total - d without a scan.  For constant degree a with n = d+2, d = 1 or
     d = 2, F is linear or quadratic on [a, 2a) and m0 < 2a, so the closed
     forms are exact there too.
@@ -154,14 +153,15 @@ def smallest_zero(dt: DegreeType) -> int:
             return closed_form_dim1(dt.n, dt.degrees[0])
         if dt.d == 2:
             return closed_form_dim2(dt.n, dt.degrees[0])
-    limit = dt.total - dt.d
-    # F(m) = C(d+m, d) > 0 below the smallest degree
-    m = min(dt.degrees)
-    while m < limit:
-        if froeberg_value(dt, m) <= 0:
+    # The d+1 smallest degrees alone give m0 = (their sum) - d. Adding a
+    # form of degree a turns F(m) into F(m) - F(m - a), still <= 0 at the
+    # old first non-positive index, as F(m - a) >= 0 there: no added form
+    # moves m0 up. Running past that limit means F is wrong.
+    limit = sum(dt.degrees[-dt.d - 1:]) - dt.d
+    for m, f in enumerate(_values(dt, limit)):
+        if f <= 0:
             return m
-        m += 1
-    return limit
+    raise AssertionError(f"F has no non-positive value by {limit}: {dt}")
 
 
 def closed_form_parameter(dt: DegreeType) -> int:

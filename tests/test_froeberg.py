@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -47,6 +48,26 @@ def series_zero(dt: DegreeType) -> int:
     """m0 as the first non-positive coefficient of the series."""
     series = froeberg_series(dt, dt.total - dt.d)
     return next(m for m, c in enumerate(series) if c <= 0)
+
+
+def golden_digest(count: int) -> str:
+    """sha256 over m0, the series up to total + 2 and F at four degrees, for
+    seeded degree types; one in four has a constant degree, so that the
+    closed forms of smallest_zero are covered too."""
+    rng = SplitMix64(24)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        d = 1 + rng.next_below(5)
+        n = d + 1 + rng.next_below(6)
+        if rng.next_below(4) == 0:
+            dt = DegreeType.constant(d, n, 1 + rng.next_below(30))
+        else:
+            dt = DegreeType(d, tuple(1 + rng.next_below(30) for _ in range(n)))
+        m0 = smallest_zero(dt)
+        series = froeberg_series(dt, dt.total + 2)
+        values = [froeberg_value(dt, m) for m in (m0 - 1, m0, dt.total - dt.d, dt.total + 1)]
+        digest.update(f"{d} {dt.degrees} {m0} {series} {values}\n".encode())
+    return digest.hexdigest()
 
 
 class TestDegreeType:
@@ -95,9 +116,9 @@ class TestFroebergValue:
             froeberg_value(DegreeType(1, (2,)), -1)
 
     def test_skips_sub_multisets_heavier_than_m(self, monkeypatch):
-        # twenty distinct degrees: of their 2^20 sub-multisets only {},
-        # {1}, {2} and {1, 2} take no degree a more than 2 // a times, and
-        # F(2) = C(3, 1) - C(2, 1) - C(1, 1) + C(0, 1)
+        # twenty distinct degrees: the numerator is truncated at m = 2, so
+        # of its terms only 1 - t - t^2 (from {}, {1} and {2}) are read, and
+        # F(2) = C(3, 1) - C(2, 1) - C(1, 1)
         calls = []
 
         def counting(n, k):
@@ -106,7 +127,7 @@ class TestFroebergValue:
 
         monkeypatch.setattr(froeberg, "binom", counting)
         assert froeberg_value(DegreeType(1, tuple(range(1, 21))), 2) == 0
-        assert sorted(calls) == [0, 1, 2, 3]
+        assert sorted(calls) == [1, 2, 3]
 
 
 class TestFroebergSeries:
@@ -134,6 +155,25 @@ class TestFroebergSeries:
         series = froeberg_series(dt, 5998)
         for m in [*range(0, 5999, 97), 999, 1000, 1001, 2999, 3000, 5997, 5998]:
             assert series[m] == froeberg_value(dt, m)
+
+    def test_matches_bitmask_oracle(self):
+        rng = SplitMix64(9)
+        for _ in range(40):
+            d = 1 + rng.next_below(4)
+            n = 1 + rng.next_below(6)
+            dt = DegreeType(d, tuple(1 + rng.next_below(8) for _ in range(n)))
+            series = froeberg_series(dt, dt.total + 2)
+            assert series == tuple(
+                value_oracle(d, dt.degrees, m) for m in range(dt.total + 3)
+            )
+
+    def test_many_running_sums(self):
+        # one form of degree 1 leaves 1 / (1 - t)^d, with coefficients
+        # C(d - 1 + m, m); a million running sums must not nest a million
+        # iterators (verify hilbert reads this series for an ideal file
+        # with v = 10^6 variables)
+        d = 10**6
+        assert froeberg_series(DegreeType(d, (1,)), 2) == (1, d, d * (d + 1) // 2)
 
     def test_vanishes_from_total_minus_d_on(self):
         rng = SplitMix64(6)
@@ -184,6 +224,48 @@ class TestSmallestZero:
             assert froeberg_value(dt, m0) <= 0
             assert all(froeberg_value(dt, m) > 0 for m in range(m0))
 
+    def test_scan_limit_holds(self):
+        # m0 <= (sum of the d+1 smallest degrees) - d, the limit of the
+        # scan in smallest_zero, on types with up to 12 distinct degrees
+        rng = SplitMix64(10)
+        for _ in range(25):
+            d = 1 + rng.next_below(3)
+            n = d + 2 + rng.next_below(11 - d)
+            pool = list(range(1, 16))
+            degrees = tuple(pool.pop(rng.next_below(len(pool))) for _ in range(n))
+            dt = DegreeType(d, degrees)
+            limit = sum(dt.degrees[-d - 1:]) - d
+            first = next(
+                m for m in range(limit + 1) if value_oracle(d, dt.degrees, m) <= 0
+            )
+            assert smallest_zero(dt) == first
+
+    def test_limit_can_be_reached(self):
+        # the d+1 smallest degrees 1, 1 give the limit 1, and F(1) = 0 is
+        # the first non-positive value: a limit one lower would miss it
+        dt = DegreeType(1, (5, 1, 1))
+        assert smallest_zero(dt) == 1
+        assert froeberg_value(dt, 0) > 0 and froeberg_value(dt, 1) <= 0
+
+    def test_limit_is_not_a_zero(self):
+        # the limit bounds m0, but F itself can be positive there:
+        # (3; 10 x6) has limit 37, m0 = 21 and F(37) = 220
+        dt = DegreeType.constant(3, 6, 10)
+        assert smallest_zero(dt) == 21
+        assert froeberg_value(dt, 37) == 220
+
+    def test_scan_past_the_limit_fails(self, monkeypatch):
+        # a numerator with no term past t^0 gives F(m) = C(d + m, d) > 0
+        monkeypatch.setattr(froeberg, "_numerator", lambda dt, top: {0: 1})
+        with pytest.raises(AssertionError, match="no non-positive value by 9"):
+            smallest_zero(DegreeType(1, (7, 5, 5)))
+
+    def test_formerly_slow_types(self):
+        # values of the multiplicity-vector scan, which took seconds here
+        assert smallest_zero(DegreeType(12, tuple(range(2, 16)))) == 53
+        assert smallest_zero(DegreeType(14, tuple(range(2, 18)))) == 69
+        assert smallest_zero(DegreeType(2, (100001, 100000, 99999, 99998, 5))) == 133334
+
     def test_monotone_in_n_constant_degree(self):
         for d in (1, 2, 3):
             for a in (1, 2, 5, 10, 17):
@@ -217,12 +299,13 @@ class TestClosedForms:
             assert closed_form_parameter(dt) == smallest_zero(dt) == series_zero(dt)
 
     def test_parameter_without_evaluating_f(self, monkeypatch):
-        # a scan would evaluate F at millions of degrees: the parameter,
-        # almost-parameter, d = 1 and d = 2 cases each take a closed form
-        def refuse(dt, m):
-            raise AssertionError("froeberg_value called")
+        # a scan would read F at millions of degrees: the parameter,
+        # almost-parameter, d = 1 and d = 2 cases each take a closed form,
+        # and build no numerator, which every reading of F goes through
+        def refuse(dt, top):
+            raise AssertionError("numerator built")
 
-        monkeypatch.setattr(froeberg, "froeberg_value", refuse)
+        monkeypatch.setattr(froeberg, "_numerator", refuse)
         a = 3_000_000
         cases = (
             ((2, 3), 8_999_998),
@@ -285,3 +368,13 @@ class TestClosedForms:
             closed_form_dim1(1, 5)
         with pytest.raises(PreconditionError):
             closed_form_dim2(2, 5)
+
+
+class TestGoldenDigest:
+    def test_values_are_bit_identical(self):
+        # computed by the multiplicity-vector F and its scan from the
+        # smallest degree to total - d, which every later m0 and F must
+        # reproduce exactly
+        assert golden_digest(3000) == (
+            "ad6e5b84fe7f758572342647c1dc6dff1a4eec7f35082801bb8cb1fd2f045419"
+        )
