@@ -60,15 +60,15 @@ __all__ = [
 
 # Cap on one matrix, in cells, compared before it is built: a Macaulay
 # matrix (dim P_m x products), or for a membership test its stacked shape,
-# (rows of J's product matrix + rows of I's product matrix) x dim P_m.  The
-# stacked matrix is not built either; its shape bounds the work from above,
-# since J's reduced echelon is kept as a rank J_m x dim R_m table and the
-# eliminated residual has one row per generator g of I and standard
-# monomial of degree m - deg g, (sum_g dim R_{m - deg g}) x dim R_m.
-# The largest membership test in the suite, README and benchmark (Theorem B
-# on the Fermat cubic, p = 5, q = 25: stacked shape 5353 x 2926, 15.7M
-# cells, residual 300 x 225) peaks at 37.3 MiB RSS in a fresh process,
-# 8.5 MiB above the interpreter with numpy and tcbounds loaded (measured).
+# (rows of J's product matrix + rows of I's product matrix) x dim P_m.
+# Theorem C builds that shape, as the Macaulay matrix of J's and I's forms;
+# a membership oracle builds less, a rank J_m x dim R_m table of J's normal
+# form and a (sum_g dim R_{m - deg g}) x dim R_m residual.  The largest of
+# each in the suite, README and benchmark, with the interpreter, numpy and
+# tcbounds at about 29 MiB RSS, peak in a fresh process at (measured):
+# - 37.3 MiB, theorem B on the Fermat cubic, p = 5, q = 25 (stacked shape
+#   5353 x 2926, 15.7M cells, residual 300 x 225);
+# - 49.9 MiB, theorem C on poly-ring, (3; 5 x4), C = 17 (1140 x 1820).
 _MAX_CELLS = 2**26
 
 

@@ -3,7 +3,9 @@
 Everything happens inside one graded piece: for graded ideals the degree-m
 part of I*R is the image of I_m in R_m = P_m / J_m, so ideal membership,
 Frobenius-power membership f^q in I^[q], and tight-closure witness tests
-all reduce to exact rank computations in R_m.
+all reduce to exact rank computations in R_m.  Theorem C needs only dim
+(R/IR)_m, the Hilbert function of P/(I + J), which macaulay.hilbert_table
+reads at every m at once, with no normal form; dim R_m is binomials.
 
 J is zero or one relation f, so R is P or the hypersurface P/(f).  A
 single relation is a Groebner basis of its own ideal, the monomials that
@@ -36,6 +38,7 @@ from .macaulay import (
     Form,
     FormSystem,
     form_product,
+    hilbert_table,
     monomial_count,
     monomials_of_degree,
     product_support,
@@ -172,8 +175,12 @@ class _NormalForm:
 
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
-    """dim_k R_m = dim P_m - rank(J at m)."""
-    return ring.relation_echelon(m).table.shape[1]
+    """dim_k R_m = dim P_m - sum_f dim P_{m - deg f}, with nothing built: a
+    nonzero relation f is a nonzerodivisor of the domain P."""
+    if m < 0:
+        raise PreconditionError(f"degree must be >= 0, got {m}")
+    v = ring.v
+    return monomial_count(v, m) - sum(monomial_count(v, m - a) for a in ring.modulus.degrees)
 
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[tuple[int, ...]]:
@@ -416,12 +423,6 @@ def _check_dimension(ring: GradedQuotient, dt: DegreeType) -> None:
         )
 
 
-def _deficit(ring: GradedQuotient, ideal: FormSystem, m: int) -> int:
-    """dim (R/IR)_m = dim R_m - rank of NF(I's product rows): 0 iff R_m is in I*R."""
-    oracle = MembershipOracle(ring, ideal, m)  # sized, or refused, before any work
-    return ring_dimension_at(ring, m) - oracle._eliminated[0]
-
-
 def verify_theorem_c(
     ring: GradedQuotient,
     dt: DegreeType,
@@ -430,8 +431,9 @@ def verify_theorem_c(
     max_redraws: int = 8,
 ) -> TheoremCReport:
     """Draw a random system of the degree type and test that all of R_C
-    lies in the ideal, C = m0 + d + 1 + a_invariant.  R_{m+1} = R_1 * R_m,
-    so on a pass the inclusion degree is found by stepping down from C.
+    lies in the ideal, C = m0 + d + 1 + a_invariant.  R/IR = P/(I + J), so
+    one hilbert_table of J's and I's forms up to C gives dim (R/IR)_m at
+    every m: its first zero is the inclusion degree, its value at C the deficit.
 
     The statement holds for generic systems; a bad draw is redrawn from the
     same stream (bounded retries, draw count reported).
@@ -442,17 +444,15 @@ def verify_theorem_c(
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
-    _check_membership(ring, dt.degrees, bound)  # the first test, before any draw
+    _check_membership(ring, dt.degrees, bound)  # J's and I's M_C, before any draw
     rng = SplitMix64(seed)
-    draws = 0
-    degree = None
+    draws, degree = 0, None
     while draws < max_redraws and degree is None:
         draws += 1
         system = random_form_system(ring.v, dt.degrees, ring.field, rng)
-        deficit = _deficit(ring, system, bound)
-        degree = None if deficit else bound
-        while degree and not _deficit(ring, system, degree - 1):
-            degree -= 1
+        both = FormSystem(field=ring.field, v=ring.v, forms=ring.modulus.forms + system.forms)
+        table = hilbert_table(both, bound)
+        degree = table.first_zero
     return TheoremCReport(
         p=ring.field.p,
         a_invariant=a_invariant,
@@ -461,7 +461,7 @@ def verify_theorem_c(
         system=system,
         basis_size=ring_dimension_at(ring, bound),
         inclusion_degree=degree,
-        deficit=deficit,
+        deficit=table.values[-1],  # H(C) on a failing draw, else the first zero's 0
         passed=degree is not None,
     )
 

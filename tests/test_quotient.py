@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from tcbounds.macaulay import (
     product_row_matrix,
     random_form,
     random_form_system,
+    write_form_system,
 )
 from tcbounds.quotient import (
     GradedQuotient,
@@ -329,6 +332,45 @@ class TestWitnessScan:
             )
 
 
+def theorem_c_digest() -> str:
+    """sha256 over seeded theorem-C reports: each record is the bound, draw
+    count, basis size, inclusion degree, deficit, verdict and the last
+    draw, or the refusal.  Hypersurfaces take d = 1, n = 2..6 and degree a
+    in {1, 2, 3, 5, 8, 13}; poly-ring takes d = 1..3, n in {d+1, d+2, d+4}
+    and a in {1, 2, 3, 5}; every case runs at seeds 1 and 7."""
+    cases = [
+        (name, p, 1, n, a)
+        for name, p in (
+            ("fermat-cubic", 32003),
+            ("fermat-cubic", 5),
+            ("fermat-cubic", 7),
+            ("fermat-cubic-p2", 2),
+            ("fermat-quartic", 32003),
+            ("fermat-quartic", 3),
+        )
+        for n in range(2, 7)
+        for a in (1, 2, 3, 5, 8, 13)
+    ]
+    cases += [
+        ("poly-ring", 32003, d, n, a)
+        for d in (1, 2, 3)
+        for n in (d + 1, d + 2, d + 4)
+        for a in (1, 2, 3, 5)
+    ]
+    digest = hashlib.sha256()
+    for seed in (1, 7):
+        for name, p, d, n, a in cases:
+            fx = make_fixture(name, p=p, d=d)
+            try:
+                r = verify_theorem_c(fx.ring, DegreeType.constant(d, n, a), fx.a_invariant, seed)
+                record = [r.bound, r.draws, r.basis_size, r.inclusion_degree, r.deficit, r.passed]
+                record.append(write_form_system(r.system))
+            except PreconditionError as exc:
+                record = [type(exc).__name__, str(exc)]
+            digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestTheoremC:
     def test_polynomial_ring_reduces_to_first_inclusion(self):
         fx = make_fixture("poly-ring", d=2)
@@ -393,22 +435,53 @@ class TestTheoremC:
     )
     @example(ring=("fermat-cubic-p2", 2, 1), degrees=[2, 2, 2], seed=1)
     def test_rank_scan_against_hilbert_function(self, ring, degrees, seed):
-        # the independent route: P/(J + I) from one Macaulay table of J's and
-        # I's forms together, whose H(m) is dim R_m minus the rank the scan
-        # compares.  The explicit example misses 3 of 12 basis monomials of
+        # the independent route, on the same draw: dim (R/IR)_m as the width
+        # of J's normal-form table less the rank of I's residual in R_m,
+        # against the report read from one Hilbert table of J's and I's
+        # forms.  The explicit example misses 3 of 12 basis monomials of
         # R_4 but only one dimension: its deficit is 1.
         name, p, d = ring
         assume(len(degrees) > d)
         fx = make_fixture(name, p=p, d=d)
         dt = DegreeType(d, tuple(sorted(degrees, reverse=True)))
         report = verify_theorem_c(fx.ring, dt, fx.a_invariant, seed, max_redraws=1)
-        both = FormSystem(
-            field=fx.ring.field, v=fx.ring.v, forms=fx.ring.modulus.forms + report.system.forms
+
+        def deficit(m):
+            width = fx.ring.relation_echelon(m).table.shape[1]
+            return width - MembershipOracle(fx.ring, report.system, m)._eliminated[0]
+
+        assert report.basis_size == fx.ring.relation_echelon(report.bound).table.shape[1]
+        if report.passed:
+            assert report.deficit == deficit(report.inclusion_degree) == 0
+            if report.inclusion_degree > 0:
+                assert deficit(report.inclusion_degree - 1) > 0
+        else:
+            assert report.inclusion_degree is None
+            assert report.deficit == deficit(report.bound) > 0
+
+    def test_no_normal_form_is_built(self, monkeypatch):
+        # dim R_C is binomials and dim (R/IR)_m a Hilbert table in P, so
+        # J's normal form is never needed, on a passing draw or a failing one
+        def refuse(*args, **kwargs):
+            raise AssertionError("a normal-form table was built")
+
+        monkeypatch.setattr(GradedQuotient, "_divide", refuse)
+        cubic, quartic = make_fixture("fermat-cubic"), make_fixture("fermat-quartic")
+        report = verify_theorem_c(cubic.ring, DegreeType(1, (2, 2, 2)), cubic.a_invariant, seed=7)
+        assert (report.basis_size, report.inclusion_degree, report.deficit) == (12, 3, 0)
+        report = verify_theorem_c(
+            quartic.ring, DegreeType(1, (3, 3, 3, 3)), quartic.a_invariant, seed=7
         )
-        table = hilbert_table(both, window=report.bound)
-        assert report.inclusion_degree == table.first_zero
-        assert report.passed == (table.first_zero is not None)
-        assert report.deficit == (0 if report.passed else table.values[report.bound])
+        assert report.passed and report.bound == 6
+        report = verify_theorem_c(cubic.ring, DegreeType(1, (2, 2)), -1, seed=7, max_redraws=2)
+        assert not report.passed and report.deficit > 0
+
+    def test_reports_are_bit_identical(self):
+        # computed by the rank-per-degree route this check replaced: J's
+        # normal form, one residual rank at C, and a step down from C
+        assert theorem_c_digest() == (
+            "f6c57aad13ffd688c1e343b1d2e53cb075614e37cd6e840ee04a587c80d9f33b"
+        )
 
     def test_dimension_mismatch(self):
         fx = make_fixture("poly-ring", d=2)
@@ -836,6 +909,8 @@ class TestSizeCap:
     def test_ring_eliminations_refused_before_allocating(self, cubic5, no_matrices):
         # J's product rows at m = 3000: C(2999, 2) rows over C(3002, 2) columns
         shape = r"relation echelon in degree 3000 needs a 4495501 x 4504501 matrix"
-        for call in (ring_dimension_at, ring_basis, quotient.GradedQuotient.relation_echelon):
+        for call in (ring_basis, quotient.GradedQuotient.relation_echelon):
             with pytest.raises(PreconditionError, match=shape):
                 call(cubic5.ring, 3000)
+        # the dimension builds nothing: C(3002, 2) - C(2999, 2)
+        assert ring_dimension_at(cubic5.ring, 3000) == 9000
