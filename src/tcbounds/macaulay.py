@@ -246,6 +246,19 @@ def form_product(a: Form, b: Form, p: int) -> Form:
     return Form.make(a.v, a.degree + b.degree, coeffs)
 
 
+def _monomial_index(m: int, *factors: np.ndarray) -> np.ndarray:
+    # the canonical index among the degree-m monomials of a product of one
+    # monomial from each factor, given by its partial degrees r_0..r_(v-1)
+    # down axis 0; the factors' other axes broadcast against each other
+    v = factors[0].shape[0]
+    table = _binomials(v, m)
+    shape = np.broadcast_shapes(*(f.shape[1:] for f in factors))
+    out = np.full(shape, monomial_count(v, m) - 1, dtype=np.int64)
+    for j in range(v - 1):
+        out -= np.take(table[j], sum(f[j] for f in factors))
+    return out
+
+
 def product_support(form: Form, m: int) -> np.ndarray:
     """Where the products {mu * form : deg mu = m - deg form} sit among the
     degree-m monomials: entry [s, j] is the canonical index of the s-th
@@ -254,12 +267,9 @@ def product_support(form: Form, m: int) -> np.ndarray:
     v, shift_deg = form.v, m - form.degree
     if shift_deg < 0:
         return np.zeros((0, len(form.terms)), dtype=np.int64)
-    table, shifts = _binomials(v, m), _partial_degrees(v, shift_deg)
+    _binomials(v, m)  # refuses indices beyond int64 before the shifts are listed
     terms = np.array([e for e, _ in form.terms], dtype=np.int64).reshape(-1, v).cumsum(axis=1).T
-    out = np.full((shifts.shape[1], terms.shape[1]), monomial_count(v, m) - 1, dtype=np.int64)
-    for j in range(v - 1):
-        out -= np.take(table[j], np.add.outer(shifts[j], terms[j]))
-    return out
+    return _monomial_index(m, _partial_degrees(v, shift_deg)[:, :, None], terms[:, None, :])
 
 
 def _check_macaulay(v: int, degrees: tuple[int, ...], m: int) -> None:

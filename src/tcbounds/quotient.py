@@ -7,15 +7,17 @@ all reduce to exact rank computations in R_m.  Theorem C needs only dim
 (R/IR)_m, the Hilbert function of P/(I + J), which macaulay.hilbert_table
 reads at every m at once, with no normal form; dim R_m is binomials.
 
-J is zero or one relation f, so R is P or the hypersurface P/(f).  A
-single relation is a Groebner basis of its own ideal, the monomials that
-its leading monomial does not divide are a basis of R_m, and the normal
-form NF: P_m -> R_m follows by division, with no elimination (Cox, Little
-and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
-section 3).  A membership test eliminates only the residual, NF of each
-generator g of I times the standard monomials of degree m - deg g, a
-(sum_g dim R_{m - deg g}) x dim R_m matrix, and reports rank J_m plus its
-rank: the rank of (I + J)_m in P_m.  These products span (I*R)_m, since
+J is zero or one relation f, led by c x_0^k, so R is P or the
+hypersurface P/(f), and R is a free module over S = k[x_1, ..., x_{v-1}]
+with basis 1, x_0, ..., x_0^{k-1} (Noether normalisation; Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
+section 3).  The standard monomials, those of x_0-degree < k, are a basis
+of R_m, and the normal form NF: P_m -> R_m is Horner in x_0 with the one
+rewrite x_0^k = -c^-1 (f - c x_0^k): no table of J is built, and rank J_m
+= dim P_m - dim R_m is binomials.  A membership test eliminates only the
+residual, NF of each generator g of I times the standard monomials of
+degree m - deg g, a (sum_g dim R_{m - deg g}) x dim R_m matrix, and
+reports rank J_m plus its rank: the rank of (I + J)_m in P_m.  These products span (I*R)_m, since
 g * R_{m - deg g} is spanned by g times a basis of R_{m - deg g}.  Where
 a product b * g stays standard for a monomial generator g, its row has a
 single nonzero entry, so its column is a pivot outright; such unit rows
@@ -44,7 +46,7 @@ from .macaulay import (
     product_support,
     random_form_system,
 )
-from .macaulay import _check_cells, _over_cap
+from .macaulay import _check_cells, _monomial_index, _over_cap, _partial_degrees
 
 __all__ = [
     "GradedQuotient",
@@ -63,13 +65,16 @@ __all__ = [
 
 
 class GradedQuotient:
-    """R = P/J for J empty or one homogeneous relation of positive degree;
-    a second relation is refused.  P's field and variable count are those
-    of the system.
+    """R = P/J for J empty or one homogeneous relation f of degree k >= 1
+    led by a term c x_0^k; a second relation, or one whose first term, the
+    largest in the canonical (degrevlex) order, is not c x_0^k, is refused.
+    P's field and variable count are those of the system.
 
-    The leading monomial of the relation is its first term, the largest in
-    the canonical (degrevlex) order.  J's fully reduced echelons (normal
-    forms) are cached per degree.
+    R is then free over k[x_1, ..., x_{v-1}] with basis 1, x_0, ...,
+    x_0^{k-1}, so the standard monomials, those of x_0-degree < k, are a
+    basis of R_m, and a normal form is Horner in x_0: the ring keeps only
+    k and f's other terms scaled by -c^-1, the rewrite of x_0^k, and no
+    table of J.
     """
 
     def __init__(self, modulus: FormSystem):
@@ -79,16 +84,29 @@ class GradedQuotient:
             raise PreconditionError(
                 f"the ring takes at most one relation, got {len(modulus.forms)}"
             )
+        self.field = modulus.field
+        self.v = modulus.v
+        self.modulus = modulus
+        self._masks: dict[int, np.ndarray] = {}
+        # x_0^k = sum_t scaled_t * t over f's other terms t, kept as k, the
+        # terms' partial degrees (v x T) and the scaled coefficients in [0, p)
+        self._k: int | None = None
         for f in modulus.forms:
             if f.degree < 1:
                 raise PreconditionError("modulus forms must have degree >= 1")
             if f.is_zero:
                 raise PreconditionError("modulus forms must be nonzero")
-        self.field = modulus.field
-        self.v = modulus.v
-        self.modulus = modulus
-        self._relation_echelons: dict[int, _NormalForm] = {}
-        self._standard_masks: dict[int, np.ndarray] = {}
+            (lead, c), tail = f.terms[0], f.terms[1:]
+            if lead[0] != f.degree:
+                raise PreconditionError(
+                    f"the relation must be led by a term c * x_0^{f.degree}, "
+                    f"got the leading monomial {lead}"
+                )
+            scale = self.field.p - self.field.inv(c)
+            self._k = f.degree
+            exps = np.array([e for e, _ in tail], dtype=np.int64).reshape(-1, self.v)
+            self._tail = exps.cumsum(axis=1).T
+            self._scaled = np.array([c_t * scale % self.field.p for _, c_t in tail], dtype=np.int64)
 
     @property
     def krull_dimension(self) -> int:
@@ -96,82 +114,61 @@ class GradedQuotient:
         # has dimension v - 1
         return self.v - len(self.modulus.forms)
 
-    def relation_echelon(self, m: int) -> _NormalForm:
-        """J_m's fully reduced echelon, kept as the normal form it defines:
-        `pivot` marks its pivot columns, the monomials mu that the leading
-        monomial divides, and its row for mu is e_mu - NF(mu), with NF(mu)
-        a row of `table`."""
+    def relation_echelon(self, m: int) -> np.ndarray:
+        """The standard monomials of degree m, those of x_0-degree < k (all
+        of them on P), as a read-only mask over the degree-m monomials in
+        canonical order: the coordinates of R_m.  J_m's fully reduced
+        echelon has its pivots on the other monomials and its rows are
+        e_mu - NF(mu), so the mask is all of it that normal forms need.  It
+        is cached per degree, and sized like J_m's product rows before it is
+        built.  The name stays until the benchmark's spans live in the
+        package (ROADMAP item 1(b)), because its tracer wraps it."""
         if m < 0:
             raise PreconditionError(f"degree must be >= 0, got {m}")
-        cached = self._relation_echelons.get(m)
-        if cached is None:
-            _check_cells(f"relation echelon in degree {m}", *_stacked_shape(self, (), m))
-            cached = self._divide(m)
-            self._relation_echelons[m] = cached
-        return cached
-
-    def _standard(self, m: int) -> np.ndarray:
-        # the degree-m monomials that the leading monomial does not divide,
-        # the coordinates of R_m, cached per degree; those it divides, each
-        # LM(f) * nu, are the first column of f's product support
-        mask = self._standard_masks.get(m)
+        mask = self._masks.get(m)
         if mask is None:
-            mask = np.ones(monomial_count(self.v, m), dtype=bool)
-            for f in self.modulus.forms:
-                mask[product_support(f, m)[:, 0]] = False
+            _check_cells(f"relation echelon in degree {m}", *_stacked_shape(self, (), m))
+            if self._k is None:
+                mask = np.ones(monomial_count(self.v, m), dtype=bool)
+            else:
+                mask = _partial_degrees(self.v, m)[0] < self._k
             mask.flags.writeable = False  # shared by every caller
-            self._standard_masks[m] = mask
+            self._masks[m] = mask
         return mask
 
-    def _divide(self, m: int) -> _NormalForm:
-        # mu = LM(f) * nu has NF(mu) = -lc^-1 * sum_t c_t NF(nu * t) over
-        # f's other terms t.  Each pass computes NF of the pivots not yet
-        # done whose nu * t are all done.  Every nu * t comes after mu in
-        # the canonical order, so the last pivot not yet done always
-        # qualifies and each pass makes progress.
-        p = self.field.p
-        standard = self._standard(m)
-        rank = standard.size - int(standard.sum())
-        nf = _NormalForm(~standard, np.zeros((rank, standard.size - rank), dtype=np.int64), p)
-        done = standard.copy()
-        for f in self.modulus.forms:
-            support = product_support(f, m)
-            mus, rest = support[:, 0], support[:, 1:]
-            coeffs, scale = [c for _, c in f.terms[1:]], p - self.field.inv(f.terms[0][1])
-            while not done.all():
-                now = ~done[mus] & done[rest].all(axis=1)
-                nf.table[nf.index[mus[now]]] = nf.of(rest[now], coeffs) * scale % p
-                done[mus[now]] = True
-        return nf
+    def _reduce(self, h: np.ndarray, n: int) -> np.ndarray:
+        # NF of h, a vector over P_n, in place.  Each pass rewrites x_0^k as
+        # the scaled tail in every monomial x_0^e nu of x_0-degree e >= k,
+        # into terms of x_0-degree e - k to e - 1, so the largest x_0-degree
+        # falls by at least one a pass, and by k where the tail is free of
+        # x_0.  Entries stay in [0, p): a product of two residues is below
+        # 2^62 and is reduced before it is added, and a pass adds at most
+        # one per tail term to an entry.
+        p, part = self.field.p, _partial_degrees(self.v, n)
+        high = part[0] >= self._k
+        while (at := np.flatnonzero(high & (h != 0))).size:
+            added = h[at, None] * self._scaled % p
+            h[at] = 0
+            np.add.at(h, _monomial_index(n, part[:, at, None] - self._k, self._tail[:, None, :]), added)
+            h %= p
+        return h
 
+    def _times_x0(self, h: np.ndarray, n: int) -> np.ndarray:
+        # NF(x_0 * h) over P_{n+1} for h over P_n on standard monomials: x_0 s
+        # is standard unless s has x_0-degree k - 1, and that level is
+        # rewritten
+        at = np.flatnonzero(h)
+        out = np.zeros(monomial_count(self.v, n + 1), dtype=np.int64)
+        out[_monomial_index(n + 1, _partial_degrees(self.v, n)[:, at] + 1)] = h[at]
+        return self._reduce(out, n + 1)
 
-class _NormalForm:
-    """NF: P_m -> R_m, the form in which J_m's fully reduced echelon is
-    kept.  The i-th pivot monomial maps to row i of `table`, any other
-    monomial to itself; the non-pivot monomials, in canonical order, are
-    the coordinates of R_m, so `table` is rank J_m x dim R_m."""
-
-    def __init__(self, pivot: np.ndarray, table: np.ndarray, p: int):
-        self.pivot, self.table, self.p = pivot, table, p
-        self.index = np.empty(pivot.size, dtype=np.int64)  # row of table, or basis position
-        self.index[pivot] = np.arange(table.shape[0])
-        self.index[~pivot] = np.arange(table.shape[1])
-
-    def of(self, support: np.ndarray, coeffs) -> np.ndarray:
-        """NF of sum_j coeffs[j] * (monomial support[s, j]) for each row s.
-        Reducing mod p after each term keeps every entry below
-        p + (p-1)^2 < 2^63 for p < 2^31."""
-        p = self.p
-        out = np.zeros((support.shape[0], self.table.shape[1]), dtype=np.int64)
-        for col, c in zip(support.T, coeffs):
-            c %= p
-            at, piv = self.index[col], self.pivot[col]
-            basis = np.flatnonzero(~piv)
-            out[basis, at[basis]] += c
-            reduced = np.flatnonzero(piv)
-            out[reduced] += c * self.table[at[reduced]]
-            out %= p
-        return out
+    def _normal_form(self, form: Form) -> np.ndarray:
+        # NF(form) over P_{deg form}, zero off the standard monomials
+        h = np.zeros(monomial_count(self.v, form.degree), dtype=np.int64)
+        h[product_support(form, form.degree)[0]] = [c % self.field.p for _, c in form.terms]
+        if self._k is None:
+            return h
+        return self._reduce(h, form.degree)
 
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
@@ -185,10 +182,10 @@ def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[tuple[int, ...]]:
     """Exponent tuples of the monomials whose classes form a basis of R_m:
-    those that the relation's leading monomial does not divide, the
-    non-pivot coordinates of J_m's echelon."""
-    pivot = ring.relation_echelon(m).pivot
-    return [mono for mono, piv in zip(monomials_of_degree(ring.v, m), pivot) if not piv]
+    the standard ones, of x_0-degree below the relation's degree k, which
+    its leading monomial x_0^k does not divide."""
+    standard = ring.relation_echelon(m)
+    return [mono for mono, std in zip(monomials_of_degree(ring.v, m), standard) if std]
 
 
 @dataclass(frozen=True)
@@ -236,19 +233,35 @@ class MembershipOracle:
         self.ring, self.ideal, self.degree = ring, frobenius_power_ideal(ideal, q), m
         _check_membership(ring, self.ideal.degrees, m)
 
-    def _products(self, nf: _NormalForm, form: Form) -> np.ndarray:
-        """NF of b * form for the standard monomials b of degree m - deg form,
-        those that the leading monomial does not divide, in canonical
-        order."""
-        standard = self.ring._standard(self.degree - form.degree)
-        support = product_support(form, self.degree)[standard]
-        return nf.of(support, [c for _, c in form.terms])
+    def _products(self, form: Form) -> np.ndarray:
+        """NF of b * form over R_m for the standard monomials b of degree
+        m - deg form, in canonical order.
+
+        Each b is x_0^s beta with s < k and beta free of x_0 (on P, s = 0
+        and beta = b), and beta maps standard monomials to standard ones,
+        so NF(b * form) = beta * NF(x_0^s form).  So NF(form) and k - 1
+        steps by x_0 are the only normal forms computed, and each row is
+        one of them with its monomials moved by beta: an index scatter,
+        with no arithmetic per row."""
+        ring, m, v, a = self.ring, self.degree, self.ring.v, form.degree
+        position = np.cumsum(ring.relation_echelon(m)) - 1  # of each standard monomial in R_m
+        shifts = np.zeros((v, 0), dtype=np.int64)
+        if a <= m:
+            shifts = _partial_degrees(v, m - a)[:, ring.relation_echelon(m - a)]
+        s = shifts[0] if ring._k is not None else np.zeros_like(shifts[0])
+        out = np.zeros((shifts.shape[1], ring_dimension_at(ring, m)), dtype=np.int64)
+        for level in range(s.max(initial=-1) + 1):
+            nf = ring._times_x0(nf, a + level - 1) if level else ring._normal_form(form)
+            rows, at = np.flatnonzero(s == level), np.flatnonzero(nf)
+            beta = shifts[:, rows, None] - level
+            mu = _partial_degrees(v, a + level)[:, at]
+            out[rows[:, None], position[_monomial_index(m, beta, mu[:, None, :])]] = nf[at]
+        return out
 
     def _residual(self) -> np.ndarray:
         # NF of every generator's products, stacked generator by generator
-        nf = self.ring.relation_echelon(self.degree)
-        residual = [np.zeros((0, nf.table.shape[1]), dtype=np.int64)]
-        residual += [self._products(nf, g) for g in self.ideal.forms]
+        residual = [np.zeros((0, ring_dimension_at(self.ring, self.degree)), dtype=np.int64)]
+        residual += [self._products(g) for g in self.ideal.forms]
         return np.concatenate(residual)
 
     @cached_property
@@ -281,9 +294,10 @@ class MembershipOracle:
 
     def verdicts(self, elements: list[Form]) -> list[MembershipVerdict]:
         """One verdict per element, each a Form of degree m."""
-        nf = self.ring.relation_echelon(self.degree)
         residual_rank, kept, ech = self._eliminated
-        rank = nf.table.shape[0] + residual_rank  # rank J_m + rank of the residual
+        m = self.degree
+        # rank J_m = dim P_m - dim R_m, plus the rank of the residual
+        rank = monomial_count(self.ring.v, m) - ring_dimension_at(self.ring, m) + residual_rank
         out = []
         for g in elements:
             if g.v != self.ring.v:
@@ -292,7 +306,7 @@ class MembershipOracle:
                 raise PreconditionError(
                     f"element of degree {g.degree} in a degree-{self.degree} test"
                 )
-            contained = not ech.reduce(self._products(nf, g)[0][kept]).any()
+            contained = not ech.reduce(self._products(g)[0][kept]).any()
             rank_with = rank if contained else rank + 1
             out.append(MembershipVerdict(contained, self.degree, rank, rank_with))
         return out

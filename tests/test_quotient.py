@@ -435,8 +435,8 @@ class TestTheoremC:
     )
     @example(ring=("fermat-cubic-p2", 2, 1), degrees=[2, 2, 2], seed=1)
     def test_rank_scan_against_hilbert_function(self, ring, degrees, seed):
-        # the independent route, on the same draw: dim (R/IR)_m as the width
-        # of J's normal-form table less the rank of I's residual in R_m,
+        # the independent route, on the same draw: dim (R/IR)_m as the count
+        # of standard monomials less the rank of I's residual in R_m,
         # against the report read from one Hilbert table of J's and I's
         # forms.  The explicit example misses 3 of 12 basis monomials of
         # R_4 but only one dimension: its deficit is 1.
@@ -447,10 +447,10 @@ class TestTheoremC:
         report = verify_theorem_c(fx.ring, dt, fx.a_invariant, seed, max_redraws=1)
 
         def deficit(m):
-            width = fx.ring.relation_echelon(m).table.shape[1]
+            width = len(ring_basis(fx.ring, m))
             return width - MembershipOracle(fx.ring, report.system, m)._eliminated[0]
 
-        assert report.basis_size == fx.ring.relation_echelon(report.bound).table.shape[1]
+        assert report.basis_size == len(ring_basis(fx.ring, report.bound))
         if report.passed:
             assert report.deficit == deficit(report.inclusion_degree) == 0
             if report.inclusion_degree > 0:
@@ -460,12 +460,12 @@ class TestTheoremC:
             assert report.deficit == deficit(report.bound) > 0
 
     def test_no_normal_form_is_built(self, monkeypatch):
-        # dim R_C is binomials and dim (R/IR)_m a Hilbert table in P, so
-        # J's normal form is never needed, on a passing draw or a failing one
+        # dim R_C is binomials and dim (R/IR)_m a Hilbert table in P, so no
+        # normal form is needed, on a passing draw or a failing one
         def refuse(*args, **kwargs):
-            raise AssertionError("a normal-form table was built")
+            raise AssertionError("a normal form was computed")
 
-        monkeypatch.setattr(GradedQuotient, "_divide", refuse)
+        monkeypatch.setattr(GradedQuotient, "_normal_form", refuse)
         cubic, quartic = make_fixture("fermat-cubic"), make_fixture("fermat-quartic")
         report = verify_theorem_c(cubic.ring, DegreeType(1, (2, 2, 2)), cubic.a_invariant, seed=7)
         assert (report.basis_size, report.inclusion_degree, report.deficit) == (12, 3, 0)
@@ -652,9 +652,35 @@ def _divides(lead, exps):
     return all(e >= a for e, a in zip(exps, lead))
 
 
+def _product_mod(a, b, p):
+    # a @ b mod p, exact in int64 for entries in [0, p) with p < 2^31 and
+    # inner size below 2^15: b is split in 16-bit halves, so that every
+    # product is below 2^47
+    return ((a @ (b >> 16) % p) * 2**16 + a @ (b & 0xFFFF)) % p
+
+
+def _residual_mismatches(ring):
+    # rows of MembershipOracle's residual in R_m that differ from NF(b * g),
+    # read off the reduction of b * g's coefficients modulo J_m's echelon,
+    # whose pivots are the non-standard monomials
+    p, m = ring.field.p, 7
+    ideal = random_form_system(3, (2, 3), ring.field, SplitMix64(3))
+    ref = fp_echelon(product_row_matrix(ring.modulus, m), p)
+    standard = [mono[0] < 3 for mono in monomials_of_degree(3, m)]
+    expected = []
+    for g in ideal.forms:
+        for b in monomials_of_degree(3, m - g.degree):
+            if b[0] < 3:
+                reduced = ref.reduce(_vector(form_product(monomial_form(3, b), g, p), p))
+                expected.append(reduced[standard])
+    residual = MembershipOracle(ring, ideal, m)._residual()
+    return int((residual != np.array(expected)).any(axis=1).sum())
+
+
 class TestRingContract:
-    """J is zero or one relation, a Groebner basis of its own ideal, so
-    R_m is computed by division."""
+    """J is zero or one relation led by c x_0^k, so R_m has the standard
+    monomials, of x_0-degree < k, as a basis, and normal forms are Horner
+    in x_0."""
 
     def test_second_relation_refused(self):
         # coprime leading monomials x^2 and y^3 do not make a second
@@ -693,23 +719,76 @@ class TestRingContract:
             _dense_relation_ring(2**31 - 1),
         ],
     )
-    def test_relation_echelon_is_fully_reduced(self, ring):
-        # m = 31 divides through 10 levels on the cubic, 7 on the quartic
-        p = ring.field.p
+    def test_normal_form_against_the_echelon(self, ring):
+        # NF of every degree-m monomial, stacked, against J_m's echelon from
+        # elimination: NF is the identity on the standard monomials and
+        # kills the echelon's rows, whose rank is dim P_m - dim R_m with
+        # pivots on the non-standard monomials; so NF's kernel is J_m.
+        # m = 31 rewrites x_0^k in 10 passes on the cubic, 7 on the quartic
+        p, v = ring.field.p, ring.v
+        k = ring.modulus.forms[0].degree
         for m in (*range(13), 20, 31):
-            nf = ring.relation_echelon(m)
-            assert ((0 <= nf.table) & (nf.table < p)).all()
-            rank, dim = nf.table.shape
-            assert ring_dimension_at(ring, m) == len(ring_basis(ring, m)) == dim
-            # rows e_mu - NF(mu): zeros above and below every pivot
-            pivots = np.flatnonzero(nf.pivot)
-            rows = np.zeros((rank, rank + dim), dtype=np.int64)
-            rows[np.arange(rank), pivots] = 1
-            rows[:, ~nf.pivot] = -nf.table % p
+            monomials = monomials_of_degree(v, m)
+            standard = np.array([mono[0] < k for mono in monomials])
+            nf = np.array([ring._normal_form(monomial_form(v, mono)) for mono in monomials])
+            assert ((0 <= nf) & (nf < p)).all() and not nf[:, ~standard].any()
+            assert (nf[standard] == np.eye(len(monomials), dtype=np.int64)[standard]).all()
             ref = fp_echelon(product_row_matrix(ring.modulus, m), p)
-            assert (rank, tuple(pivots.tolist())) == (ref.rank, ref.pivot_columns)
-            # same row space: stacking adds no rank
-            assert fp_rank(np.vstack([rows, ref.rows]), p) == rank
+            assert ref.rank == len(monomials) - ring_dimension_at(ring, m)
+            assert ref.pivot_columns == tuple(np.flatnonzero(~standard).tolist())
+            assert not _product_mod(ref.rows, nf, p).any()
+
+    @pytest.mark.parametrize(
+        "name,p,k",
+        [("fermat-cubic", 7, 3), ("fermat-cubic-p2", 2, 3), ("fermat-quartic", 32003, 4)],
+    )
+    def test_diagonal_closed_form(self, name, p, k):
+        # x^k = -(y^k + z^k), so NF(x^(kq+r) y^b z^c) = (-1)^q sum_j C(q, j)
+        # x^r y^(b+kj) z^(c+k(q-j)), whose monomials are distinct and standard
+        ring = make_fixture(name, p=p).ring
+        for m in (k + 2, 20, 25):
+            index = {mono: i for i, mono in enumerate(monomials_of_degree(3, m))}
+            for a, b, c in index:
+                q, r = divmod(a, k)
+                expected = np.zeros(len(index), dtype=np.int64)
+                for j in range(q + 1):
+                    expected[index[r, b + k * j, c + k * (q - j)]] = (-1) ** q * math.comb(q, j) % p
+                assert (ring._normal_form(monomial_form(3, (a, b, c))) == expected).all()
+
+    @pytest.mark.parametrize("p", [7, 2**31 - 1])
+    def test_residual_rows_against_the_echelon(self, p):
+        ring = _dense_relation_ring(p)
+        assert _residual_mismatches(ring) == 0
+
+    def test_mutations_are_caught(self, monkeypatch):
+        # the dense cubic's leading coefficient is not 1, and its normal
+        # forms at m = 7 step by x_0 across x_0-degree k - 1
+        ring = _dense_relation_ring(7)
+        tail = np.array([c for _, c in ring.modulus.forms[0].terms[1:]], dtype=np.int64)
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_scaled", tail)  # the -c^-1 scale dropped
+            assert _residual_mismatches(ring) > 0
+        times_x0 = GradedQuotient._times_x0
+
+        def shift_only(self, h, n):
+            # x_0 * s without the rewrite at x_0-degree k - 1
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(GradedQuotient, "_reduce", lambda self, h, n: h)
+                return times_x0(self, h, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedQuotient, "_times_x0", shift_only)
+            assert _residual_mismatches(ring) > 0
+        assert _residual_mismatches(ring) == 0
+
+    @pytest.mark.parametrize(
+        "relation", [{(0, 3, 0): 1, (0, 0, 3): 1}, {(2, 1, 0): 1, (0, 0, 3): 1}]
+    )
+    def test_relation_without_x0_power_refused(self, relation):
+        # y^3 + z^3 has no x_0 at all; x^2 y + z^3 is led by x^2 y
+        modulus = FormSystem(field=PrimeField(7), v=3, forms=(Form.make(3, 3, relation),))
+        with pytest.raises(PreconditionError, match=r"led by a term c \* x_0\^3"):
+            GradedQuotient(modulus)
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
     def test_dense_relation_against_direct_ranks(self, p):
@@ -776,7 +855,71 @@ class TestResidual:
         ideal_q = frobenius_power_ideal(ideal, q)
         zero = np.zeros(len(monomials_of_degree(ring.v, m)), dtype=np.int64)
         stacked, _ = _direct_ranks(ring, ideal_q, zero, m)
-        assert ring.relation_echelon(m).table.shape[0] + rank == stacked
+        # rank J_m = dim P_m - dim R_m
+        j_rank = len(monomials_of_degree(ring.v, m)) - len(ring_basis(ring, m))
+        assert j_rank + rank == stacked
+
+
+def membership_digest() -> str:
+    """sha256 over seeded membership tests.  Each ring takes random ideals
+    of degrees 1-3 drawn at seeds 1 and 7, and q in {1, p}; each test in
+    degree m records the residual that MembershipOracle eliminates and the
+    verdicts on sampled monomials, random forms and a member of the ideal,
+    or the refusal.  verify_theorem_b adds its elements for two degree
+    types per ring and seed."""
+    rings = [
+        make_fixture("fermat-cubic", p=5).ring,
+        make_fixture("fermat-cubic", p=7).ring,
+        make_fixture("fermat-cubic", p=32003).ring,
+        make_fixture("fermat-cubic-p2").ring,
+        make_fixture("fermat-quartic", p=3).ring,
+        _dense_relation_ring(7),
+        _dense_relation_ring(2**31 - 1),
+        make_fixture("poly-ring", p=5, d=1).ring,
+        make_fixture("poly-ring", p=3, d=2).ring,
+    ]
+    digest = hashlib.sha256()
+    for ring in rings:
+        p, v = ring.field.p, ring.v
+        for seed in (1, 7):
+            rng = SplitMix64(seed)
+            for degrees in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
+                ideal = random_form_system(v, degrees, ring.field, rng)
+                for q, m in [(q, q * a + s) for q in (1, p) for a in (degrees[0], degrees[-1]) for s in (0, 2)]:
+                    record = [p, seed, degrees, q, m]
+                    try:
+                        oracle = MembershipOracle(ring, ideal, m, q)
+                    except PreconditionError as exc:
+                        digest.update(json.dumps(record + [str(exc)]).encode() + b"\n")
+                        continue
+                    residual = oracle._residual()
+                    record += [residual.shape, hashlib.sha256(residual.tobytes()).hexdigest()]
+                    monomials = monomials_of_degree(v, m)
+                    forms = [monomial_form(v, e) for e in monomials[:: max(1, len(monomials) // 24)]]
+                    forms += [random_form(v, m, ring.field, rng) for _ in range(2)]
+                    g = oracle.ideal.forms[-1]
+                    if g.degree <= m:
+                        h = random_form(v, m - g.degree, ring.field, rng) if g.degree < m else None
+                        forms.append(form_product(g, h, p) if h else g)
+                    for verdict in oracle.verdicts(forms):
+                        record.append([verdict.contained, verdict.rank_without, verdict.rank_with])
+                    digest.update(json.dumps(record).encode() + b"\n")
+            k = ring.krull_dimension
+            for dt in (DegreeType(k - 1, (1,) * k), DegreeType(k - 1, (2,) * (k - 1) + (1,))):
+                try:
+                    r = verify_theorem_b(ring, dt, q_max=p, seed=seed)
+                    record = [r.bound, r.q_list, r.elements, r.all_resolved]
+                except PreconditionError as exc:
+                    record = [str(exc)]
+                digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_membership_is_bit_identical():
+    # computed by J's normal-form table, before normal forms were Horner in x_0
+    assert membership_digest() == (
+        "4bc0cfce2f3275d853b505c595244de295d0ad2268cc07e67cf4ec2d58738c13"
+    )
 
 
 def _unit_row_ideals(ring):
