@@ -46,7 +46,7 @@ from .macaulay import (
     product_support,
     random_form_system,
 )
-from .macaulay import _check_cells, _monomial_index, _over_cap, _partial_degrees
+from .macaulay import _check_cells, _check_macaulay, _monomial_index, _over_cap, _partial_degrees
 
 __all__ = [
     "GradedQuotient",
@@ -458,7 +458,8 @@ def verify_theorem_c(
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
-    _check_membership(ring, dt.degrees, bound)  # J's and I's M_C, before any draw
+    # the largest matrix the table builds, J's and I's M_C, sized before any draw
+    _check_macaulay(ring.v, ring.modulus.degrees + dt.degrees, bound)
     rng = SplitMix64(seed)
     draws, degree = 0, None
     while draws < max_redraws and degree is None:

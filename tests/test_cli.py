@@ -452,7 +452,8 @@ class TestVerifyTheorems:
             "--n", "3", "--a", "200",
         )
         assert code == 1 and out == ""
-        assert "membership test in degree 301 needs a 60609 x 45753 matrix" in err
+        # theorem C builds the Macaulay matrix of the relation and the ideal
+        assert "Macaulay matrix in degree 301 needs a 45753 x 60609 matrix" in err
 
     def test_theorem_b_random_type(self, capsys):
         code, payload = run_json(

@@ -1024,12 +1024,15 @@ class TestSizeCap:
         monkeypatch.setattr(quotient, "random_form_system", refuse)
 
     @staticmethod
-    def _refusal(v, degrees, m):
-        # the stacked shape over P = F_p[x_0..x_{v-1}] with no relations
+    def _refusal(v, degrees, m, what="membership test"):
+        # the stacked shape over P = F_p[x_0..x_{v-1}] with no relations;
+        # theorem C builds its transpose, the Macaulay matrix
         rows = sum(math.comb(m - a + v - 1, v - 1) for a in degrees)
         cols = math.comb(m + v - 1, v - 1)
+        if what == "Macaulay matrix":
+            rows, cols = cols, rows
         return (
-            f"membership test in degree {m} needs a {rows} x {cols} matrix "
+            f"{what} in degree {m} needs a {rows} x {cols} matrix "
             f"({rows * cols} cells), over the cap of {2**26}"
         )
 
@@ -1039,7 +1042,7 @@ class TestSizeCap:
         ring = make_fixture("poly-ring", d=150).ring
         with pytest.raises(PreconditionError) as refused:
             verify_theorem_c(ring, dt, a_invariant=-151, seed=7)
-        assert str(refused.value) == self._refusal(151, dt.degrees, 152)
+        assert str(refused.value) == self._refusal(151, dt.degrees, 152, "Macaulay matrix")
 
     def test_theorem_b_refused_before_drawing(self, no_draws):
         # 101 quadrics in 101 variables: B = m0 + d + 1 = 102 + 101
