@@ -59,15 +59,15 @@ __all__ = [
 
 
 # Cap on one matrix, in cells, compared before it is built: a Macaulay
-# matrix (dim P_m x products), or for a membership test its stacked shape,
-# (rows of J's product matrix + rows of I's product matrix) x dim P_m.
-# Theorem C builds that shape, as the Macaulay matrix of J's and I's forms;
-# a membership oracle builds less, a rank J_m x dim R_m table of J's normal
-# form and a (sum_g dim R_{m - deg g}) x dim R_m residual.  The largest of
-# each in the suite, README and benchmark, with the interpreter, numpy and
-# tcbounds at about 29 MiB RSS, peak in a fresh process at (measured):
-# - 37.3 MiB, theorem B on the Fermat cubic, p = 5, q = 25 (stacked shape
-#   5353 x 2926, 15.7M cells, residual 300 x 225);
+# matrix (dim P_m x products), which theorem C builds for J's and I's
+# forms, or for a membership test its stacked shape, (rows of J's product
+# matrix + rows of I's product matrix) x dim P_m.  A membership oracle
+# builds less: a (sum_g dim R_{m - deg g}) x dim R_m residual and k normal
+# forms per generator, each one vector.  The largest of each in the suite,
+# README and benchmark, with the interpreter, numpy and tcbounds at about
+# 29 MiB RSS, peak in a fresh process at (measured):
+# - 34.7 MiB, theorem B on the Fermat cubic, (1; 2,2,2), p = 5, seed 8, q up
+#   to 25 (at q = 25: stacked shape 8829 x 5151, 45.5M cells; residual 450 x 300);
 # - 49.9 MiB, theorem C on poly-ring, (3; 5 x4), C = 17 (1140 x 1820).
 _MAX_CELLS = 2**26
 
@@ -247,15 +247,12 @@ def form_product(a: Form, b: Form, p: int) -> Form:
 
 
 def _monomial_index(m: int, *factors: np.ndarray) -> np.ndarray:
-    # the canonical index among the degree-m monomials of a product of one
-    # monomial from each factor, given by its partial degrees r_0..r_(v-1)
-    # down axis 0; the factors' other axes broadcast against each other
+    # canonical index among the degree-m monomials of the product of one monomial
+    # per factor, each given by partial degrees down axis 0 (other axes broadcast)
     v = factors[0].shape[0]
-    table = _binomials(v, m)
-    shape = np.broadcast_shapes(*(f.shape[1:] for f in factors))
-    out = np.full(shape, monomial_count(v, m) - 1, dtype=np.int64)
-    for j in range(v - 1):
-        out -= np.take(table[j], sum(f[j] for f in factors))
+    out = np.full(np.broadcast_shapes(*(f.shape[1:] for f in factors)), monomial_count(v, m) - 1)
+    for j, row in enumerate(_binomials(v, m)):
+        out -= np.take(row, sum(f[j] for f in factors))
     return out
 
 

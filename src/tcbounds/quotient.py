@@ -7,18 +7,17 @@ all reduce to exact rank computations in R_m.  Theorem C needs only dim
 (R/IR)_m, the Hilbert function of P/(I + J), which macaulay.hilbert_table
 reads at every m at once, with no normal form; dim R_m is binomials.
 
-J is zero or one relation f, led by c x_0^k, so R is P or the
-hypersurface P/(f), and R is a free module over S = k[x_1, ..., x_{v-1}]
-with basis 1, x_0, ..., x_0^{k-1} (Noether normalisation; Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9 and ch. 5
-section 3).  The standard monomials, those of x_0-degree < k, are a basis
-of R_m, and the normal form NF: P_m -> R_m is Horner in x_0 with the one
-rewrite x_0^k = -c^-1 (f - c x_0^k): no table of J is built, and rank J_m
-= dim P_m - dim R_m is binomials.  A membership test eliminates only the
-residual, NF of each generator g of I times the standard monomials of
-degree m - deg g, a (sum_g dim R_{m - deg g}) x dim R_m matrix, and
-reports rank J_m plus its rank: the rank of (I + J)_m in P_m.  These products span (I*R)_m, since
-g * R_{m - deg g} is spanned by g times a basis of R_{m - deg g}.  Where
+J is zero or one relation f led by c x_0^k, so R is P or P/(f), free over
+k[x_1, ..., x_{v-1}] with basis 1, x_0, ..., x_0^{k-1} (Noether
+normalisation; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 section 9 and ch. 5 section 3).  The standard monomials, those of
+x_0-degree < k, are a basis of R_m, NF: P_m -> R_m is Horner in x_0 with
+the one rewrite x_0^k = -c^-1 (f - c x_0^k), and no table of J is built.
+A membership test eliminates only the residual, NF of each generator g of
+I times the standard monomials of degree m - deg g, a (sum_g dim
+R_{m - deg g}) x dim R_m matrix, and reports rank J_m = dim P_m - dim R_m
+plus its rank: the rank of (I + J)_m in P_m.  These products span (I*R)_m,
+since g * R_{m - deg g} is spanned by g times a basis of it.  Where
 a product b * g stays standard for a monomial generator g, its row has a
 single nonzero entry, so its column is a pivot outright; such unit rows
 are peeled off before the rest is eliminated (the "known pivots" of
@@ -66,16 +65,11 @@ __all__ = [
 
 class GradedQuotient:
     """R = P/J for J empty or one homogeneous relation f of degree k >= 1
-    led by a term c x_0^k; a second relation, or one whose first term, the
-    largest in the canonical (degrevlex) order, is not c x_0^k, is refused.
-    P's field and variable count are those of the system.
-
-    R is then free over k[x_1, ..., x_{v-1}] with basis 1, x_0, ...,
-    x_0^{k-1}, so the standard monomials, those of x_0-degree < k, are a
-    basis of R_m, and a normal form is Horner in x_0: the ring keeps only
-    k and f's other terms scaled by -c^-1, the rewrite of x_0^k, and no
-    table of J.
-    """
+    whose first term, the largest in the canonical (degrevlex) order, is
+    c x_0^k; a second relation, or one led otherwise, is refused.  P's
+    field and variable count are those of the system.  The ring keeps k
+    and f's other terms scaled by -c^-1, the rewrite of x_0^k, and no
+    table of J."""
 
     def __init__(self, modulus: FormSystem):
         if modulus.v < 1:
@@ -88,8 +82,7 @@ class GradedQuotient:
         self.v = modulus.v
         self.modulus = modulus
         self._masks: dict[int, np.ndarray] = {}
-        # x_0^k = sum_t scaled_t * t over f's other terms t, kept as k, the
-        # terms' partial degrees (v x T) and the scaled coefficients in [0, p)
+        # x_0^k = sum_t scaled_t * t over f's other terms t, by partial degrees
         self._k: int | None = None
         for f in modulus.forms:
             if f.degree < 1:
@@ -102,11 +95,11 @@ class GradedQuotient:
                     f"the relation must be led by a term c * x_0^{f.degree}, "
                     f"got the leading monomial {lead}"
                 )
-            scale = self.field.p - self.field.inv(c)
+            p, scale = self.field.p, self.field.p - self.field.inv(c)
             self._k = f.degree
             exps = np.array([e for e, _ in tail], dtype=np.int64).reshape(-1, self.v)
             self._tail = exps.cumsum(axis=1).T
-            self._scaled = np.array([c_t * scale % self.field.p for _, c_t in tail], dtype=np.int64)
+            self._scaled = np.array([c_t * scale % p for _, c_t in tail], dtype=np.int64)
 
     @property
     def krull_dimension(self) -> int:
@@ -116,47 +109,36 @@ class GradedQuotient:
 
     def relation_echelon(self, m: int) -> np.ndarray:
         """The standard monomials of degree m, those of x_0-degree < k (all
-        of them on P), as a read-only mask over the degree-m monomials in
-        canonical order: the coordinates of R_m.  J_m's fully reduced
-        echelon has its pivots on the other monomials and its rows are
-        e_mu - NF(mu), so the mask is all of it that normal forms need.  It
-        is cached per degree, and sized like J_m's product rows before it is
-        built.  The name stays until the benchmark's spans live in the
-        package (ROADMAP item 1(b)), because its tracer wraps it."""
+        on P), as a read-only mask in canonical order, cached per degree:
+        the coordinates of R_m, and all that NF needs of J_m's echelon.  The
+        name stays while the benchmark's tracer (perfbench/spans.py) wraps it."""
         if m < 0:
             raise PreconditionError(f"degree must be >= 0, got {m}")
         mask = self._masks.get(m)
         if mask is None:
             _check_cells(f"relation echelon in degree {m}", *_stacked_shape(self, (), m))
-            if self._k is None:
-                mask = np.ones(monomial_count(self.v, m), dtype=bool)
-            else:
-                mask = _partial_degrees(self.v, m)[0] < self._k
+            mask = _partial_degrees(self.v, m)[0] < (self._k or m + 1)  # all on P
             mask.flags.writeable = False  # shared by every caller
             self._masks[m] = mask
         return mask
 
     def _reduce(self, h: np.ndarray, n: int) -> np.ndarray:
-        # NF of h, a vector over P_n, in place.  Each pass rewrites x_0^k as
-        # the scaled tail in every monomial x_0^e nu of x_0-degree e >= k,
-        # into terms of x_0-degree e - k to e - 1, so the largest x_0-degree
-        # falls by at least one a pass, and by k where the tail is free of
-        # x_0.  Entries stay in [0, p): a product of two residues is below
-        # 2^62 and is reduced before it is added, and a pass adds at most
-        # one per tail term to an entry.
+        # NF of h over P_n, in place: each pass rewrites x_0^k in every monomial
+        # of x_0-degree e >= k into x_0-degrees e - k..e - 1.  Entries stay in
+        # [0, p): each product of residues (< 2^62) is reduced, then added.
         p, part = self.field.p, _partial_degrees(self.v, n)
-        high = part[0] >= self._k
+        high = part[0] >= (self._k or n + 1)  # none on P
         while (at := np.flatnonzero(high & (h != 0))).size:
             added = h[at, None] * self._scaled % p
             h[at] = 0
-            np.add.at(h, _monomial_index(n, part[:, at, None] - self._k, self._tail[:, None, :]), added)
+            cofactor = part[:, at, None] - self._k  # x_0^(e-k) nu
+            np.add.at(h, _monomial_index(n, cofactor, self._tail[:, None, :]), added)
             h %= p
         return h
 
     def _times_x0(self, h: np.ndarray, n: int) -> np.ndarray:
-        # NF(x_0 * h) over P_{n+1} for h over P_n on standard monomials: x_0 s
-        # is standard unless s has x_0-degree k - 1, and that level is
-        # rewritten
+        # NF(x_0 * h) over P_{n+1} for h over P_n on standard monomials, a
+        # step of Horner's rule: only x_0-degree k - 1 reaches x_0^k
         at = np.flatnonzero(h)
         out = np.zeros(monomial_count(self.v, n + 1), dtype=np.int64)
         out[_monomial_index(n + 1, _partial_degrees(self.v, n)[:, at] + 1)] = h[at]
@@ -166,8 +148,6 @@ class GradedQuotient:
         # NF(form) over P_{deg form}, zero off the standard monomials
         h = np.zeros(monomial_count(self.v, form.degree), dtype=np.int64)
         h[product_support(form, form.degree)[0]] = [c % self.field.p for _, c in form.terms]
-        if self._k is None:
-            return h
         return self._reduce(h, form.degree)
 
 
@@ -182,8 +162,7 @@ def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
 
 def ring_basis(ring: GradedQuotient, m: int) -> list[tuple[int, ...]]:
     """Exponent tuples of the monomials whose classes form a basis of R_m:
-    the standard ones, of x_0-degree below the relation's degree k, which
-    its leading monomial x_0^k does not divide."""
+    the standard ones, of x_0-degree below the relation's degree k."""
     standard = ring.relation_echelon(m)
     return [mono for mono, std in zip(monomials_of_degree(ring.v, m), standard) if std]
 
@@ -219,11 +198,13 @@ class MembershipOracle:
     of each generator g of I^[q] times the standard monomials b of degree
     m - deg g, of shape (sum_g dim R_{m - deg g}) x dim R_m.  Its rows span
     NF((I^[q])_m), since any shift mu of g has mu = NF(mu) mod J and NF(mu)
-    is a combination of such b.  An element g is a member iff NF(g) lies in
-    the residual's row space.  Its unit rows, those with one nonzero entry
-    (b * g standard for a monomial g), are peeled off first, and only the
-    rest, on the columns they leave, reaches fp_echelon: of the 78 x 78
-    residual of a witness test at p = q = 13 on the Fermat cubic, 4 x 5."""
+    is a combination of such b; each is an index scatter of one of k normal
+    forms per generator (_products).  An element g is a member iff NF(g)
+    lies in the residual's row space.  Its unit rows, those with one
+    nonzero entry (b * g standard for a monomial g), are peeled off first,
+    and only the rest, on the columns they leave, reaches fp_echelon: of
+    the 78 x 78 residual of a witness test at p = q = 13 on the Fermat
+    cubic, 4 x 5."""
 
     def __init__(self, ring: GradedQuotient, ideal: FormSystem, m: int, q: int = 1):
         if ideal.field != ring.field:
@@ -234,22 +215,19 @@ class MembershipOracle:
         _check_membership(ring, self.ideal.degrees, m)
 
     def _products(self, form: Form) -> np.ndarray:
-        """NF of b * form over R_m for the standard monomials b of degree
-        m - deg form, in canonical order.
-
-        Each b is x_0^s beta with s < k and beta free of x_0 (on P, s = 0
-        and beta = b), and beta maps standard monomials to standard ones,
-        so NF(b * form) = beta * NF(x_0^s form).  So NF(form) and k - 1
-        steps by x_0 are the only normal forms computed, and each row is
-        one of them with its monomials moved by beta: an index scatter,
-        with no arithmetic per row."""
+        """NF of b * form over R_m for the standard b of degree m - deg form,
+        in canonical order.  b = x_0^s beta, s < k, beta free of x_0 (on P,
+        s = 0 and beta = b), maps standard monomials to standard ones, so
+        NF(b * form) = beta * NF(x_0^s form): k normal forms, NF(form) and
+        k - 1 steps by x_0, and each row an index scatter of one of them."""
         ring, m, v, a = self.ring, self.degree, self.ring.v, form.degree
+        dim = ring_dimension_at(ring, m)
+        if a > m:
+            return np.zeros((0, dim), dtype=np.int64)
         position = np.cumsum(ring.relation_echelon(m)) - 1  # of each standard monomial in R_m
-        shifts = np.zeros((v, 0), dtype=np.int64)
-        if a <= m:
-            shifts = _partial_degrees(v, m - a)[:, ring.relation_echelon(m - a)]
+        shifts = _partial_degrees(v, m - a)[:, ring.relation_echelon(m - a)]
         s = shifts[0] if ring._k is not None else np.zeros_like(shifts[0])
-        out = np.zeros((shifts.shape[1], ring_dimension_at(ring, m)), dtype=np.int64)
+        out = np.zeros((shifts.shape[1], dim), dtype=np.int64)
         for level in range(s.max(initial=-1) + 1):
             nf = ring._times_x0(nf, a + level - 1) if level else ring._normal_form(form)
             rows, at = np.flatnonzero(s == level), np.flatnonzero(nf)
@@ -260,9 +238,8 @@ class MembershipOracle:
 
     def _residual(self) -> np.ndarray:
         # NF of every generator's products, stacked generator by generator
-        residual = [np.zeros((0, ring_dimension_at(self.ring, self.degree)), dtype=np.int64)]
-        residual += [self._products(g) for g in self.ideal.forms]
-        return np.concatenate(residual)
+        empty = np.zeros((0, ring_dimension_at(self.ring, self.degree)), dtype=np.int64)
+        return np.concatenate([empty] + [self._products(g) for g in self.ideal.forms])
 
     @cached_property
     def _eliminated(self) -> tuple[int, np.ndarray, Echelon]:
@@ -295,9 +272,9 @@ class MembershipOracle:
     def verdicts(self, elements: list[Form]) -> list[MembershipVerdict]:
         """One verdict per element, each a Form of degree m."""
         residual_rank, kept, ech = self._eliminated
-        m = self.degree
-        # rank J_m = dim P_m - dim R_m, plus the rank of the residual
-        rank = monomial_count(self.ring.v, m) - ring_dimension_at(self.ring, m) + residual_rank
+        ring, m = self.ring, self.degree
+        j_rank = monomial_count(ring.v, m) - ring_dimension_at(ring, m)
+        rank = j_rank + residual_rank
         out = []
         for g in elements:
             if g.v != self.ring.v:
@@ -458,8 +435,7 @@ def verify_theorem_c(
         raise PreconditionError(f"inclusion degree {bound} is negative")
     if max_redraws < 1:
         raise PreconditionError(f"need at least one draw, got {max_redraws}")
-    # the largest matrix the table builds, J's and I's M_C, sized before any draw
-    _check_macaulay(ring.v, ring.modulus.degrees + dt.degrees, bound)
+    _check_macaulay(ring.v, ring.modulus.degrees + dt.degrees, bound)  # J's and I's M_C
     rng = SplitMix64(seed)
     draws, degree = 0, None
     while draws < max_redraws and degree is None:

@@ -32,7 +32,9 @@ def _bindings() -> dict[tuple[str, str], object]:
     # methods the tracer wraps, by identity
     owners = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "tcbounds"}
     owners["Echelon"], owners["GradedQuotient"] = arith.Echelon, quotient.GradedQuotient
-    return {(name, attr): value for name, owner in owners.items() for attr, value in vars(owner).items()}
+    return {
+        (name, attr): value for name, owner in owners.items() for attr, value in vars(owner).items()
+    }
 
 
 def test_tracer_wraps_existing_names_and_restores_them():

@@ -752,7 +752,8 @@ class TestRingContract:
                 q, r = divmod(a, k)
                 expected = np.zeros(len(index), dtype=np.int64)
                 for j in range(q + 1):
-                    expected[index[r, b + k * j, c + k * (q - j)]] = (-1) ** q * math.comb(q, j) % p
+                    term = (r, b + k * j, c + k * (q - j))
+                    expected[index[term]] = (-1) ** q * math.comb(q, j) % p
                 assert (ring._normal_form(monomial_form(3, (a, b, c))) == expected).all()
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
@@ -885,7 +886,8 @@ def membership_digest() -> str:
             rng = SplitMix64(seed)
             for degrees in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
                 ideal = random_form_system(v, degrees, ring.field, rng)
-                for q, m in [(q, q * a + s) for q in (1, p) for a in (degrees[0], degrees[-1]) for s in (0, 2)]:
+                tops = (degrees[0], degrees[-1])
+                for q, m in [(q, q * a + s) for q in (1, p) for a in tops for s in (0, 2)]:
                     record = [p, seed, degrees, q, m]
                     try:
                         oracle = MembershipOracle(ring, ideal, m, q)
@@ -895,7 +897,8 @@ def membership_digest() -> str:
                     residual = oracle._residual()
                     record += [residual.shape, hashlib.sha256(residual.tobytes()).hexdigest()]
                     monomials = monomials_of_degree(v, m)
-                    forms = [monomial_form(v, e) for e in monomials[:: max(1, len(monomials) // 24)]]
+                    step = max(1, len(monomials) // 24)
+                    forms = [monomial_form(v, e) for e in monomials[::step]]
                     forms += [random_form(v, m, ring.field, rng) for _ in range(2)]
                     g = oracle.ideal.forms[-1]
                     if g.degree <= m:
