@@ -335,18 +335,19 @@ class Echelon:
     pivot_columns: tuple[int, ...]
     rows: np.ndarray = field(repr=False)
 
-    def reduce(self, vector) -> np.ndarray:
-        """Residue of a coefficient vector modulo the row space."""
-        v = np.asarray(vector, dtype=np.int64) % self.p
-        if v.shape != (self.rows.shape[1],):
+    def reduce(self, vectors) -> np.ndarray:
+        """Residue modulo the row space of a coefficient vector, or of each
+        row of a matrix, in the input's shape: one pass over the pivots,
+        each a subtraction across all rows at once."""
+        v = np.asarray(vectors, dtype=np.int64) % self.p
+        if v.ndim not in (1, 2) or v.shape[-1] != self.rows.shape[1]:
             raise PreconditionError(
                 f"vector shape {v.shape} does not match {self.rows.shape[1]} columns"
             )
-        for i, col in enumerate(self.pivot_columns):
-            c = int(v[col])
-            if c:
-                v -= c * self.rows[i]
-                v %= self.p
+        rows = v if v.ndim == 2 else v[None]  # v is fresh, so reduced in place
+        for row, col in zip(self.rows, self.pivot_columns):
+            rows -= rows[:, col, None] * row
+            rows %= self.p
         return v
 
 

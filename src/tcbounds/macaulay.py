@@ -128,6 +128,7 @@ def _binomials(v: int, m: int) -> np.ndarray:
     table = np.empty((v - 1, m + 1), dtype=np.int64)
     for j in range(v - 1):
         table[j] = np.cumsum(table[j - 1]) if j else np.arange(m + 1)
+    table.flags.writeable = False  # cached: one write would corrupt every later index
     return table
 
 
@@ -135,7 +136,9 @@ def _binomials(v: int, m: int) -> np.ndarray:
 def _partial_degrees(v: int, m: int) -> np.ndarray:
     # row j: r_j = e_0 + ... + e_j of each degree-m monomial, in canonical order
     exps = np.array(_exponent_tuples(v, m), dtype=np.int64).reshape(-1, v)
-    return np.ascontiguousarray(exps.cumsum(axis=1).T)
+    part = np.ascontiguousarray(exps.cumsum(axis=1).T)
+    part.flags.writeable = False  # cached, like _binomials
+    return part
 
 
 @dataclass(frozen=True)
@@ -248,11 +251,18 @@ def form_product(a: Form, b: Form, p: int) -> Form:
 
 def _monomial_index(m: int, *factors: np.ndarray) -> np.ndarray:
     # canonical index among the degree-m monomials of the product of one monomial
-    # per factor, each given by partial degrees down axis 0 (other axes broadcast)
+    # per factor, each given by partial degrees down axis 0 (other axes broadcast).
+    # Row j of the table starts at j * (m + 1) of its flat view, and every r_j
+    # of a degree-m product is at most m, so each gather stays in its own row,
+    # which a per-row np.take used to check
     v = factors[0].shape[0]
-    out = np.full(np.broadcast_shapes(*(f.shape[1:] for f in factors)), monomial_count(v, m) - 1)
-    for j, row in enumerate(_binomials(v, m)):
-        out -= np.take(row, sum(f[j] for f in factors))
+    table = _binomials(v, m)
+    if v == 1:  # one monomial of each degree
+        return np.zeros_like(sum(f[0] for f in factors))
+    flat, width = table.ravel(), m + 1
+    out = monomial_count(v, m) - 1 - flat[sum(f[0] for f in factors)]
+    for j in range(1, v - 1):
+        out -= flat[sum((f[j] for f in factors), j * width)]
     return out
 
 

@@ -42,7 +42,6 @@ from .macaulay import (
     hilbert_table,
     monomial_count,
     monomials_of_degree,
-    product_support,
     random_form_system,
 )
 from .macaulay import _check_cells, _check_macaulay, _monomial_index, _over_cap, _partial_degrees
@@ -82,6 +81,7 @@ class GradedQuotient:
         self.v = modulus.v
         self.modulus = modulus
         self._masks: dict[int, np.ndarray] = {}
+        self._ladders: dict[Form, list[np.ndarray]] = {}
         # x_0^k = sum_t scaled_t * t over f's other terms t, by partial degrees
         self._k: int | None = None
         for f in modulus.forms:
@@ -123,32 +123,55 @@ class GradedQuotient:
         return mask
 
     def _reduce(self, h: np.ndarray, n: int) -> np.ndarray:
-        # NF of h over P_n, in place: each pass rewrites x_0^k in every monomial
-        # of x_0-degree e >= k into x_0-degrees e - k..e - 1.  Entries stay in
-        # [0, p): each product of residues (< 2^62) is reduced, then added.
-        p, part = self.field.p, _partial_degrees(self.v, n)
+        # NF of each row of h over P_n, in place: each pass rewrites x_0^k in
+        # every monomial of x_0-degree e >= k of every row at once, into
+        # x_0-degrees e - k..e - 1.  Entries stay in [0, p): each product of
+        # residues (< 2^62) is reduced, then added.  h is C-ordered, so flat is
+        # a view of it.
+        p, part, flat = self.field.p, _partial_degrees(self.v, n), h.reshape(-1)
         high = part[0] >= (self._k or n + 1)  # none on P
-        while (at := np.flatnonzero(high & (h != 0))).size:
-            added = h[at, None] * self._scaled % p
+        while (at := np.nonzero(high & (h != 0)))[0].size:
+            row, col = at
+            added = h[at][:, None] * self._scaled % p
             h[at] = 0
-            cofactor = part[:, at, None] - self._k  # x_0^(e-k) nu
-            np.add.at(h, _monomial_index(n, cofactor, self._tail[:, None, :]), added)
+            cofactor = part[:, col, None] - self._k  # x_0^(e-k) nu
+            index = _monomial_index(n, cofactor, self._tail[:, None, :])
+            np.add.at(flat, index + h.shape[1] * row[:, None], added)
             h %= p
         return h
+
+    def _normal_forms(self, forms: list[Form], n: int) -> np.ndarray:
+        # NF of forms of degree n over P_n, one row each, zero off the
+        # standard monomials: one scatter of every term, then one _reduce
+        h = np.zeros((len(forms), monomial_count(self.v, n)), dtype=np.int64)
+        terms = [(i, e, c) for i, form in enumerate(forms) for e, c in form.terms]
+        if terms:
+            rows, exps, coeffs = zip(*terms)
+            part = np.array(exps, dtype=np.int64).reshape(-1, self.v).cumsum(axis=1).T
+            h[rows, _monomial_index(n, part)] = np.array(coeffs) % self.field.p
+        return self._reduce(h, n)
 
     def _times_x0(self, h: np.ndarray, n: int) -> np.ndarray:
         # NF(x_0 * h) over P_{n+1} for h over P_n on standard monomials, a
         # step of Horner's rule: only x_0-degree k - 1 reaches x_0^k
         at = np.flatnonzero(h)
-        out = np.zeros(monomial_count(self.v, n + 1), dtype=np.int64)
-        out[_monomial_index(n + 1, _partial_degrees(self.v, n)[:, at] + 1)] = h[at]
-        return self._reduce(out, n + 1)
+        out = np.zeros((1, monomial_count(self.v, n + 1)), dtype=np.int64)
+        out[0, _monomial_index(n + 1, _partial_degrees(self.v, n)[:, at] + 1)] = h[at]
+        return self._reduce(out, n + 1)[0]
 
-    def _normal_form(self, form: Form) -> np.ndarray:
-        # NF(form) over P_{deg form}, zero off the standard monomials
-        h = np.zeros(monomial_count(self.v, form.degree), dtype=np.int64)
-        h[product_support(form, form.degree)[0]] = [c % self.field.p for _, c in form.terms]
-        return self._reduce(h, form.degree)
+    def _ladder(self, form: Form) -> list[np.ndarray]:
+        """NF(x_0^s form) over P_{deg form + s} for s < k (s = 0 on P), read-only
+        and cached per form, so that every oracle of one I^[q], whatever its
+        degree, scatters the same k normal forms."""
+        ladder = self._ladders.get(form)
+        if ladder is None:
+            ladder = [self._normal_forms([form], form.degree)[0]]
+            for s in range(1, self._k or 1):
+                ladder.append(self._times_x0(ladder[-1], form.degree + s - 1))
+            for nf in ladder:
+                nf.flags.writeable = False
+            self._ladders[form] = ladder
+        return ladder
 
 
 def ring_dimension_at(ring: GradedQuotient, m: int) -> int:
@@ -199,12 +222,15 @@ class MembershipOracle:
     m - deg g, of shape (sum_g dim R_{m - deg g}) x dim R_m.  Its rows span
     NF((I^[q])_m), since any shift mu of g has mu = NF(mu) mod J and NF(mu)
     is a combination of such b; each is an index scatter of one of k normal
-    forms per generator (_products).  An element g is a member iff NF(g)
-    lies in the residual's row space.  Its unit rows, those with one
-    nonzero entry (b * g standard for a monomial g), are peeled off first,
-    and only the rest, on the columns they leave, reaches fp_echelon: of
-    the 78 x 78 residual of a witness test at p = q = 13 on the Fermat
-    cubic, 4 x 5."""
+    forms per generator (_products), which the ring caches, so oracles of
+    one I^[q] at several degrees share them.  An element g is a member iff
+    NF(g) lies in the residual's row space.  verdicts takes a batch: each
+    _reduce pass rewrites x_0^k in every element's normal form at once,
+    and one Echelon.reduce call reduces them all.  The residual's unit
+    rows, those with one nonzero entry (b * g standard for a monomial g),
+    are peeled off first, and only the rest, on the columns they leave,
+    reaches fp_echelon: of the 78 x 78 residual of a witness test at p =
+    q = 13 on the Fermat cubic, 4 x 5."""
 
     def __init__(self, ring: GradedQuotient, ideal: FormSystem, m: int, q: int = 1):
         if ideal.field != ring.field:
@@ -218,8 +244,8 @@ class MembershipOracle:
         """NF of b * form over R_m for the standard b of degree m - deg form,
         in canonical order.  b = x_0^s beta, s < k, beta free of x_0 (on P,
         s = 0 and beta = b), maps standard monomials to standard ones, so
-        NF(b * form) = beta * NF(x_0^s form): k normal forms, NF(form) and
-        k - 1 steps by x_0, and each row an index scatter of one of them."""
+        NF(b * form) = beta * NF(x_0^s form): each row is an index scatter
+        of one of the k normal forms of the ring's ladder of form."""
         ring, m, v, a = self.ring, self.degree, self.ring.v, form.degree
         dim = ring_dimension_at(ring, m)
         if a > m:
@@ -228,8 +254,7 @@ class MembershipOracle:
         shifts = _partial_degrees(v, m - a)[:, ring.relation_echelon(m - a)]
         s = shifts[0] if ring._k is not None else np.zeros_like(shifts[0])
         out = np.zeros((shifts.shape[1], dim), dtype=np.int64)
-        for level in range(s.max(initial=-1) + 1):
-            nf = ring._times_x0(nf, a + level - 1) if level else ring._normal_form(form)
+        for level, nf in enumerate(ring._ladder(form)[: s.max(initial=-1) + 1]):
             rows, at = np.flatnonzero(s == level), np.flatnonzero(nf)
             beta = shifts[:, rows, None] - level
             mu = _partial_degrees(v, a + level)[:, at]
@@ -270,12 +295,11 @@ class MembershipOracle:
         return kept.size - int(kept.sum()) + ech.rank, kept, ech
 
     def verdicts(self, elements: list[Form]) -> list[MembershipVerdict]:
-        """One verdict per element, each a Form of degree m."""
-        residual_rank, kept, ech = self._eliminated
-        ring, m = self.ring, self.degree
-        j_rank = monomial_count(ring.v, m) - ring_dimension_at(ring, m)
-        rank = j_rank + residual_rank
-        out = []
+        """One verdict per element, each a Form of degree m, in order.
+        Every element is checked before any is reduced; then their normal
+        forms are one matrix, whose _reduce passes each rewrite x_0^k in
+        every row at once, and one Echelon.reduce call reduces all its rows
+        by the rest's echelon."""
         for g in elements:
             if g.v != self.ring.v:
                 raise PreconditionError("form variable count does not match ring")
@@ -283,10 +307,12 @@ class MembershipOracle:
                 raise PreconditionError(
                     f"element of degree {g.degree} in a degree-{self.degree} test"
                 )
-            contained = not ech.reduce(self._products(g)[0][kept]).any()
-            rank_with = rank if contained else rank + 1
-            out.append(MembershipVerdict(contained, self.degree, rank, rank_with))
-        return out
+        residual_rank, kept, ech = self._eliminated
+        ring, m = self.ring, self.degree
+        rank = monomial_count(ring.v, m) - ring_dimension_at(ring, m) + residual_rank
+        nf = ring._normal_forms(elements, m)[:, ring.relation_echelon(m)][:, kept]
+        outside = ech.reduce(nf).any(axis=1)
+        return [MembershipVerdict(not out, m, rank, rank + int(out)) for out in outside]
 
 
 def _check_prime_power(q: int, p: int) -> None:
@@ -381,12 +407,18 @@ def tight_witness_scan(
     # every test is sized before any is run
     tests = sorted({(q, u.degree + q * f.degree) for q in q_list for u in witnesses})
     oracles = {(q, m): MembershipOracle(ring, ideal, m, q) for q, m in tests}
-    rows = []
-    for u in witnesses:
-        prods = [form_product(u, _frobenius_power_form(f, q), p) for q in q_list]
-        rows.append(tuple(oracles[q, g.degree].verdicts([g])[0] for q, g in zip(q_list, prods)))
+    products = {
+        (i, j): form_product(u, _frobenius_power_form(f, q), p)
+        for j, q in enumerate(q_list)
+        for i, u in enumerate(witnesses)
+    }
+    found = {}  # one verdicts call per oracle, on all the products of its (q, degree)
+    for (q, m), oracle in oracles.items():
+        at = [(i, j) for (i, j), g in products.items() if q_list[j] == q and g.degree == m]
+        found.update(zip(at, oracle.verdicts([products[ij] for ij in at])))
+    rows = tuple(tuple(found[i, j] for j in range(len(q_list))) for i in range(len(witnesses)))
     passing = tuple(i for i, row in enumerate(rows) if all(verdict.contained for verdict in row))
-    return WitnessScanReport(q_list, tuple(rows), passing)
+    return WitnessScanReport(q_list, rows, passing)
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,25 @@ class TestFpEchelon:
 
     def test_reduce_shape_check(self):
         ech = fp_echelon([[1, 0], [0, 1]], 5)
-        with pytest.raises(PreconditionError):
-            ech.reduce([1, 2, 3])
+        for bad in ([1, 2, 3], [[1, 2, 3]], 1, [[[1, 2]]]):
+            with pytest.raises(PreconditionError):
+                ech.reduce(bad)
+
+    @pytest.mark.parametrize("p", [5, 32003, 2**31 - 1])
+    def test_reduce_matrix_row_by_row(self, p):
+        # a rank-4 basis of 6 rows and rows from inside and outside its row
+        # space; small left factors keep every product exact in int64
+        rng = np.random.default_rng(p % 1000)
+        basis = (rng.integers(0, 8, (6, 4)) @ rng.integers(0, p, (4, 11))) % p
+        ech = fp_echelon(basis, p)
+        assert ech.rank == 4
+        members = (rng.integers(0, 8, (3, 6)) @ basis) % p
+        matrix = np.concatenate([members, rng.integers(-p, 2 * p, (4, 11))])
+        reduced = ech.reduce(matrix)
+        assert reduced.shape == matrix.shape
+        assert np.array_equal(reduced, [ech.reduce(row) for row in matrix])
+        assert not reduced[:3].any() and reduced[3:].any(axis=1).all()
+        assert ech.reduce(matrix[:0]).shape == (0, 11)
 
     def test_blocked_echelon_matches_simple(self):
         rng = np.random.default_rng(10)

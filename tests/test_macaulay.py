@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -82,6 +83,36 @@ class TestMonomials:
         assert len(wide) == monomial_count(300, 2) == 45150
         assert wide[0] == (2,) + (0,) * 299 and wide[-1] == (0,) * 299 + (2,)
         assert all(sum(e) == 2 for e in wide)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_monomial_index_against_a_dictionary(self, v):
+        # the index of a product of one monomial from each of 1-3 factors,
+        # each factor broadcast along its own axis, against the listing
+        for m in range(13):
+            index = {mono: i for i, mono in enumerate(monomials_of_degree(v, m))}
+            for degrees in ((m,), (m // 2, m - m // 2), (m // 3, m // 3, m - 2 * (m // 3))):
+                lists = [monomials_of_degree(v, d) for d in degrees]
+                factors = []
+                for axis, monos in enumerate(lists):
+                    shape = [v] + [1] * len(lists)
+                    shape[1 + axis] = len(monos)
+                    partial = np.array(monos).reshape(-1, v).cumsum(axis=1).T
+                    factors.append(partial.reshape(shape))
+                got = macaulay._monomial_index(m, *factors)
+                expected = [
+                    index[tuple(map(sum, zip(*combo)))] for combo in itertools.product(*lists)
+                ]
+                assert got.shape == tuple(map(len, lists))
+                assert got.ravel().tolist() == expected, (v, degrees)
+
+    def test_cached_tables_are_read_only(self):
+        # an in-place write to a cached table would corrupt every later index
+        for table in (macaulay._binomials(3, 5), macaulay._partial_degrees(3, 5)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 7
+            row = table[0]
+            with pytest.raises(ValueError, match="read-only"):
+                row += 1
 
     def test_mul_pow_degree(self):
         # a monomial's q-th power is its Frobenius power as a one-term form

@@ -332,6 +332,61 @@ class TestWitnessScan:
             )
 
 
+def _scan_witnesses(ring, rng):
+    # degree 0-2: monomials, a fixed binomial and nonzero random forms
+    v, field = ring.v, ring.field
+
+    def drawn(degree):
+        while (u := random_form(v, degree, field, rng)).is_zero:
+            pass
+        return u
+
+    witnesses = [monomial_form(v, (0, 0, 0)), monomial_form(v, (1, 0, 0)), drawn(1)]
+    witnesses += [monomial_form(v, (0, 1, 1)), monomial_form(v, (0, 0, 2))]
+    witnesses.append(Form.make(v, 2, {(1, 1, 0): 1, (0, 0, 2): field.p - 1}))
+    witnesses += [drawn(2), drawn(2)]
+    return tuple(witnesses)
+
+
+def scan_digest() -> str:
+    """sha256 over seeded tight_witness_scan reports on the Fermat cubic at
+    p = 5, 7 and 13 and the quartic at p = 3: z^2 against (x, y), x^2
+    against (y, z), and z against (x, y), whose verdicts differ between
+    witnesses of one degree; with q lists (p,) and (p, p^2), or the refusal
+    where p^2 is over the cap.  Each record is every verdict and the
+    passing witnesses.  Each ring serves all its scans, at seeds 1 and 7."""
+    digest = hashlib.sha256()
+    for name, p in (("fermat-cubic", 5), ("fermat-cubic", 7), ("fermat-cubic", 13),
+                    ("fermat-quartic", 3)):
+        ring = make_fixture(name, p=p).ring
+        xy = variables_ideal(ring, 2)
+        yz = FormSystem(field=ring.field, v=3, forms=(xy.forms[1], monomial_form(3, (0, 0, 1))))
+        kinds = ((xy, monomial_form(3, (0, 0, 2))), (yz, monomial_form(3, (2, 0, 0))),
+                 (xy, monomial_form(3, (0, 0, 1))))
+        for seed in (1, 7):
+            witnesses = _scan_witnesses(ring, SplitMix64(seed))
+            for ideal, f in kinds:
+                for q_list in ((p,), (p, p * p)):
+                    record = [name, p, seed, f.terms, q_list]
+                    try:
+                        report = tight_witness_scan(ring, ideal, f, q_list, witnesses)
+                    except PreconditionError as exc:
+                        digest.update(json.dumps(record + [str(exc)]).encode() + b"\n")
+                        continue
+                    for row in report.verdicts:
+                        record.append([[v.contained, v.degree, v.rank_without, v.rank_with]
+                                       for v in row])
+                    record.append(report.passing)
+                    digest.update(json.dumps(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_scans_are_bit_identical():
+    # computed with one verdicts call per product, before verdicts were
+    # grouped by (q, degree) and reduced in one pass
+    assert scan_digest() == "4a52975f79806c87a153c0f908b50f9f9d03b2325c11557f99e68cccc9f09d36"
+
+
 def theorem_c_digest() -> str:
     """sha256 over seeded theorem-C reports: each record is the bound, draw
     count, basis size, inclusion degree, deficit, verdict and the last
@@ -465,7 +520,7 @@ class TestTheoremC:
         def refuse(*args, **kwargs):
             raise AssertionError("a normal form was computed")
 
-        monkeypatch.setattr(GradedQuotient, "_normal_form", refuse)
+        monkeypatch.setattr(GradedQuotient, "_reduce", refuse)  # every NF runs it
         cubic, quartic = make_fixture("fermat-cubic"), make_fixture("fermat-quartic")
         report = verify_theorem_c(cubic.ring, DegreeType(1, (2, 2, 2)), cubic.a_invariant, seed=7)
         assert (report.basis_size, report.inclusion_degree, report.deficit) == (12, 3, 0)
@@ -730,7 +785,7 @@ class TestRingContract:
         for m in (*range(13), 20, 31):
             monomials = monomials_of_degree(v, m)
             standard = np.array([mono[0] < k for mono in monomials])
-            nf = np.array([ring._normal_form(monomial_form(v, mono)) for mono in monomials])
+            nf = ring._normal_forms([monomial_form(v, mono) for mono in monomials], m)
             assert ((0 <= nf) & (nf < p)).all() and not nf[:, ~standard].any()
             assert (nf[standard] == np.eye(len(monomials), dtype=np.int64)[standard]).all()
             ref = fp_echelon(product_row_matrix(ring.modulus, m), p)
@@ -748,13 +803,14 @@ class TestRingContract:
         ring = make_fixture(name, p=p).ring
         for m in (k + 2, 20, 25):
             index = {mono: i for i, mono in enumerate(monomials_of_degree(3, m))}
-            for a, b, c in index:
+            expected = np.zeros((len(index), len(index)), dtype=np.int64)
+            for row, (a, b, c) in enumerate(index):
                 q, r = divmod(a, k)
-                expected = np.zeros(len(index), dtype=np.int64)
                 for j in range(q + 1):
                     term = (r, b + k * j, c + k * (q - j))
-                    expected[index[term]] = (-1) ** q * math.comb(q, j) % p
-                assert (ring._normal_form(monomial_form(3, (a, b, c))) == expected).all()
+                    expected[row, index[term]] = (-1) ** q * math.comb(q, j) % p
+            forms = [monomial_form(3, mono) for mono in index]
+            assert (ring._normal_forms(forms, m) == expected).all()
 
     @pytest.mark.parametrize("p", [7, 2**31 - 1])
     def test_residual_rows_against_the_echelon(self, p):
@@ -763,7 +819,9 @@ class TestRingContract:
 
     def test_mutations_are_caught(self, monkeypatch):
         # the dense cubic's leading coefficient is not 1, and its normal
-        # forms at m = 7 step by x_0 across x_0-degree k - 1
+        # forms at m = 7 step by x_0 across x_0-degree k - 1.  Each phase
+        # takes a fresh ring: a ring caches its generators' ladders, so a
+        # shared one would carry one phase's wrong normal forms into the next
         ring = _dense_relation_ring(7)
         tail = np.array([c for _, c in ring.modulus.forms[0].terms[1:]], dtype=np.int64)
         with monkeypatch.context() as patch:
@@ -779,8 +837,25 @@ class TestRingContract:
 
         with monkeypatch.context() as patch:
             patch.setattr(GradedQuotient, "_times_x0", shift_only)
-            assert _residual_mismatches(ring) > 0
-        assert _residual_mismatches(ring) == 0
+            assert _residual_mismatches(_dense_relation_ring(7)) > 0
+        assert _residual_mismatches(_dense_relation_ring(7)) == 0
+
+    @pytest.mark.parametrize("name", ["fermat-cubic", "fermat-quartic"])
+    def test_ladders_are_shared_across_degrees(self, name, monkeypatch):
+        # a second oracle of the same I^[q] at another degree scatters the
+        # cached ladders and computes no generator normal form, and its
+        # residual is a fresh ring's
+        ring, fresh = make_fixture(name, p=5).ring, make_fixture(name, p=5).ring
+        ideal = random_form_system(3, (1, 2), ring.field, SplitMix64(13))
+        MembershipOracle(ring, ideal, 11, 5)._residual()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator normal form was computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedQuotient, "_reduce", refuse)
+            shared = MembershipOracle(ring, ideal, 12, 5)._residual()
+        assert np.array_equal(shared, MembershipOracle(fresh, ideal, 12, 5)._residual())
 
     @pytest.mark.parametrize(
         "relation", [{(0, 3, 0): 1, (0, 0, 3): 1}, {(2, 1, 0): 1, (0, 0, 3): 1}]
@@ -963,6 +1038,42 @@ def _unit_row_ideals(ring):
     )
 
 
+class TestBatchedVerdicts:
+    """verdicts reduces all its elements in one pass; each verdict is the
+    one the element gets alone, on every ring of the membership digest."""
+
+    @pytest.mark.parametrize(
+        "name,p,d",
+        [
+            ("fermat-cubic", 5, None),
+            ("fermat-cubic", 7, None),
+            ("fermat-cubic", 32003, None),
+            ("fermat-cubic-p2", None, None),
+            ("fermat-quartic", 3, None),
+            ("dense-cubic", 7, None),
+            ("dense-cubic", 2**31 - 1, None),
+            ("poly-ring", 5, 1),
+            ("poly-ring", 3, 2),
+        ],
+    )
+    def test_batch_equals_one_at_a_time(self, name, p, d):
+        ring = _dense_relation_ring(p) if name == "dense-cubic" else make_fixture(name, p, d).ring
+        p, v = ring.field.p, ring.v
+        q = p if p < 10 else 1  # q = p only where the test fits the cap
+        rng = SplitMix64(17)
+        for degrees, q, m in (((1, 2), 1, 4), ((2,), q, 2 * q + 1), ((1, 1), 1, 7)):
+            ideal = random_form_system(v, degrees, ring.field, rng)
+            oracle = MembershipOracle(ring, ideal, m, q)
+            g = oracle.ideal.forms[0]
+            forms = [monomial_form(v, e) for e in monomials_of_degree(v, m)[::3]]
+            forms += [random_form(v, m, ring.field, rng), Form.make(v, m, {})]
+            forms.append(form_product(g, random_form(v, m - g.degree, ring.field, rng), p))
+            batched = oracle.verdicts(forms)
+            assert batched == [oracle.verdicts([f])[0] for f in forms]
+            assert batched[-1].contained and batched[-2].contained
+            assert oracle.verdicts([]) == []
+
+
 class TestUnitRows:
     """The oracle peels the unit rows, those with one nonzero entry, off
     the residual and eliminates only the rest on the columns that they do
@@ -996,7 +1107,7 @@ class TestSizeCap:
         def refuse(*args, **kwargs):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(quotient, "product_support", refuse)
+        monkeypatch.setattr(quotient, "_monomial_index", refuse)
         monkeypatch.setattr(quotient, "fp_echelon", refuse)
 
     def test_q_list_for_theorem_b(self, cubic5, no_matrices):
