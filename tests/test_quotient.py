@@ -1039,7 +1039,7 @@ def _unit_row_ideals(ring):
 
 
 class TestBatchedVerdicts:
-    """verdicts reduces all its elements in one pass; each verdict is the
+    """verdicts reduces all its elements as one batch; each verdict is the
     one the element gets alone, on every ring of the membership digest."""
 
     @pytest.mark.parametrize(
